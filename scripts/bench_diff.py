@@ -182,6 +182,9 @@ _SCHEMA9_FIELDS = (
     "speedup_dram_replay",
     "figure_phase_seconds",
 )
+#: Schema 10 leaves one memory-system engine: the scalar-vs-batched
+#: comparison fields are gone on purpose.
+_SCHEMA10_DROPPED = ("dram_replay_scalar", "dram_replay_identical", "speedup_dram_replay")
 
 
 def _check_schema9_fields(path, data):
@@ -189,9 +192,14 @@ def _check_schema9_fields(path, data):
     schema = data.get("schema")
     if not isinstance(schema, int) or schema < 9:
         return  # pre-batched-replay snapshot: nothing to require
+    dropped = _SCHEMA10_DROPPED if schema >= 10 else ()
     timings = data["timings_seconds"]
-    missing = [key for key in _SCHEMA9_TIMINGS if key not in timings]
-    missing += [f"top-level '{key}'" for key in _SCHEMA9_FIELDS if key not in data]
+    missing = [key for key in _SCHEMA9_TIMINGS if key not in timings and key not in dropped]
+    missing += [
+        f"top-level '{key}'"
+        for key in _SCHEMA9_FIELDS
+        if key not in data and key not in dropped
+    ]
     if missing:
         print(f"error: {path} (schema {schema}) is missing required batched "
               f"replay bench entries: {', '.join(missing)}; "

@@ -54,7 +54,7 @@ from .core import (
 )
 from .workloads import available_workloads, workload_trace
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "AddressRange",

@@ -10,18 +10,18 @@ stream walks the columns of one row in one bank — maximizing row hits —
 before moving to the next bank.
 
 Two decode paths share the same arithmetic: the scalar
-:meth:`AddressMap.decode` / :meth:`AddressMap.split_request` pair the
-event loop uses per burst, and the vectorized
-:meth:`AddressMap.decode_many` / :meth:`AddressMap.expand_many` pair the
-batched replay engine (:mod:`repro.dram.batched`) runs over whole
-address columns at once. Both produce identical coordinates for
-identical addresses.
+:meth:`AddressMap.decode` / :meth:`AddressMap.locate` pair works on one
+burst at a time (``locate`` returns the plain ints the memory engine
+in :mod:`repro.dram.batched` queues), and the vectorized
+:meth:`AddressMap.decode_many` / :meth:`AddressMap.expand_many` pair
+runs over whole address columns at once. Both produce identical
+coordinates for identical addresses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..core.columnar import numpy_or_none
 from ..core.request import MemoryRequest, Operation
@@ -64,8 +64,10 @@ class Burst:
 
     ``request_id`` links bursts back to their originating request so the
     memory system can report per-request completion latency. ``bank_id``
-    caches ``coordinates.bank_id``, which the controller's scheduler
-    reads on every decision.
+    caches ``coordinates.bank_id``. The memory engine itself queues
+    plain tuples; this object form is what :meth:`AddressMap.split_request`
+    returns and :meth:`MemoryController.enqueue
+    <repro.dram.controller.MemoryController.enqueue>` accepts.
     """
 
     __slots__ = (
@@ -135,35 +137,50 @@ class BurstColumns:
 class AddressMap:
     """Decodes byte addresses into DRAM coordinates for a configuration."""
 
-    __slots__ = ("config",)
+    __slots__ = ("config", "_radices")
 
     def __init__(self, config: MemoryConfig):
         self.config = config
+        # Mixed-radix digits of a burst number, least significant first.
+        self._radices = (
+            config.address_mapping == "ch_lo",
+            config.num_channels,
+            config.columns_per_row,
+            config.banks_per_rank,
+            config.ranks_per_channel,
+        )
 
     def decode(self, address: int) -> DramCoordinates:
         """Decode the burst containing ``address``."""
-        config = self.config
-        burst_number = address // config.burst_size
-        if config.address_mapping == "ch_lo":
+        return DramCoordinates(*self._split(address // self.config.burst_size))
+
+    def locate(self, burst_number: int) -> Tuple[int, int, int]:
+        """``(channel, bank_id, row)`` of a burst number, as plain ints."""
+        channel, rank, bank, row, _column = self._split(burst_number)
+        return channel, rank * _BANK_STRIDE + bank, row
+
+    def _split(self, burst_number: int) -> Tuple[int, int, int, int, int]:
+        """``(channel, rank, bank, row, column)`` of a burst number."""
+        channel_low, channels, columns, banks, ranks = self._radices
+        if channel_low:
             # Channels interleaved at burst granularity (default).
-            channel = burst_number % config.num_channels
-            rest = burst_number // config.num_channels
+            channel = burst_number % channels
+            rest = burst_number // channels
         else:
             # "ch_hi": channel bits above the bank — contiguous memory
             # stays on one channel for a whole bank sweep.
             rest = burst_number
             channel = 0  # placed after bank/rank decode below
-        column = rest % config.columns_per_row
-        rest //= config.columns_per_row
-        bank = rest % config.banks_per_rank
-        rest //= config.banks_per_rank
-        rank = rest % config.ranks_per_channel
-        rest //= config.ranks_per_channel
-        if config.address_mapping == "ch_hi":
-            channel = rest % config.num_channels
-            rest //= config.num_channels
-        row = rest
-        return DramCoordinates(channel, rank, bank, row, column)
+        column = rest % columns
+        rest //= columns
+        bank = rest % banks
+        rest //= banks
+        rank = rest % ranks
+        rest //= ranks
+        if not channel_low:
+            channel = rest % channels
+            rest //= channels
+        return channel, rank, bank, rest, column
 
     def decode_many(self, addresses) -> DecodedBursts:
         """Vectorized :meth:`decode` over a whole address column.

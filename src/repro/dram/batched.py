@@ -1,528 +1,524 @@
-"""Batched open-loop memory-system replay (crossbar + FR-FCFS DRAM).
+"""The memory-system engine: crossbar + FR-FCFS DRAM over primitive state.
 
-The scalar replay path (:class:`~repro.interconnect.crossbar.Crossbar`
-feeding :class:`~repro.dram.memory_system.MemorySystem`) walks one
-request at a time through Python method calls; profiling shows nearly
-all of its cost is interpreter overhead — object construction,
-per-burst method dispatch, ``_BurstQueue`` bookkeeping — not model
-work. This module adds the columnar twin: :class:`BatchedReplay`
-consumes :class:`~repro.core.columnar.ColumnarTrace` blocks and
-replays them in regimes that are **bit-identical** to the scalar event
-loop, field for field on :class:`~repro.dram.stats.MemorySystemStats`.
+One :class:`MemoryEngine` owns every piece of memory-system state and is
+the only FR-FCFS implementation in the package.
+:class:`~repro.dram.memory_system.MemorySystem`,
+:class:`~repro.dram.controller.MemoryController` and
+:class:`~repro.interconnect.crossbar.Crossbar` are thin views over it.
 
-Epoch contract
---------------
+Controller semantics (gem5's minimal controller, Hansson et al. [17],
+paper Sec. IV-A):
 
-The stream is processed in spans, and each span runs in one of two
-tiers:
+* separate read and write queues holding burst-sized packets;
+* FR-FCFS scheduling (first ready — i.e. row hit — first come first
+  served) over the active queue;
+* ``open_adaptive`` page policy: after a column access the row stays
+  open only if another queued burst (either queue) targets it,
+  otherwise it is precharged; ``open`` closes rows only on conflict;
+* write drain: writes are buffered until the write queue reaches the
+  high watermark, then drained down to the low watermark — or serviced
+  opportunistically when no reads are pending;
+* read/write bus turnaround penalties.
 
-1. **Quiescent epochs** (every controller fully drained — a request
-   arriving after that point starts a new epoch): when each burst is
-   provably *alone* in its controller, the open-adaptive policy has
-   closed form (every burst a row miss against a precharged bank,
-   queue length 0, per-channel finishes follow the max-plus recurrence
-   ``finish[k] = max(A[k], finish[k-1] + B[k])``) and whole columns
-   commit via one ``cumsum``/``cummax`` scan per channel.
-2. **Transcribed replay** everywhere else: a faithful transcription of
-   the whole scalar loop — crossbar forward times,
-   ``MemorySystem.submit`` (including queue-full backpressure relief)
-   and the :class:`~repro.dram.controller.MemoryController` event loop
-   (FR-FCFS pick, open-adaptive row retention, write-drain watermarks,
-   turnaround records) — over primitive ints, dicts and lists instead
-   of ``Burst`` objects and per-burst method dispatch. Backpressure is
-   handled inline exactly as the scalar loop handles it, so the
-   transcription never diverges and each span commits whole.
+The model is event-driven: each channel tracks when its data bus and
+banks become free and issues one burst per scheduling decision.
 
-Span commits write queues, bank states, flags and statistics back into
-the real objects, so both tiers interleave freely with each other and
-with the final scalar drain.
+State layout
+------------
 
-Fallback matrix
----------------
+Per channel (:class:`ChannelState`), kept between calls:
 
-The fast path disengages entirely (every request runs scalar) when any
-of these hold; results stay identical, only speed changes:
+* ``open_rows``: flat bank id -> open row, for open banks only, and
+  ``ready_at``: bank id -> earliest start of its next column access;
+* ``reads`` / ``writes``: queue dicts, sequence number ->
+  ``(arrival, bank, row, request_id)``; dict order is FIFO order, which
+  is also arrival order;
+* ``read_rows`` / ``write_rows``: ``(bank, row)`` -> sequence numbers of
+  the queued bursts targeting that row, oldest first (stale heads are
+  dropped lazily), so the row-hit search is one lookup per open bank
+  instead of a queue scan;
+* the bus (``bus_free``), ``last_was_write``, ``draining`` and
+  ``reads_since`` turnaround fields, the refresh deadline, the optional
+  :class:`~repro.dram.chargecache.ChargeCache` and the channel's
+  :class:`~repro.dram.stats.ControllerStats`, which is accumulated in
+  place.
 
-* numpy is unavailable (stdlib ``array`` column store),
-* refresh is enabled (``t_refi > 0``),
-* a ChargeCache is attached,
-* the page policy is not ``open`` or ``open_adaptive``,
-* an observability event sink is attached (per-burst events cannot be
-  replayed from columns),
-* a per-request completion hook is installed on the memory system,
-* timestamps exceed the int64 fast-path ceiling.
+Per engine: the outstanding-request table (request id ->
+``[bursts_left, origin, last_completion]``), request-id and
+queue-sequence counters, and the in-order port's last presented and
+accepted times.
 
-The tier-1 quiescent scan additionally requires ``open_adaptive`` and
-``t_rp <= t_rcd + t_burst`` (the bank-locality argument that keeps its
-recurrence first-order); spans failing those run the transcription.
+Entry points
+------------
+
+Everything that issues a burst goes through :meth:`MemoryEngine.service`
+— ``service(ch, limit)`` issues every burst whose scheduling decision
+falls before ``limit``; ``limit=None`` issues exactly one burst (the
+queue-full relief path) and returns its finish time. Around it:
+
+* :meth:`MemoryEngine.submit` takes one request: decode its bursts with
+  plain ints, service each burst's channel up to the acceptance time,
+  relieve a full queue, enqueue.
+* :meth:`MemoryEngine.feed` is the same loop inlined over a column
+  block, crossbar forwarding included; the burst columns are decoded
+  with numpy when it is available and in Python otherwise.
+* :meth:`MemoryEngine.drain` services everything still queued.
+
+Plug-ins inside :meth:`MemoryEngine.service`: refresh windows are
+applied before each issue; the ChargeCache is looked up at activation
+and filled at both row-close points (conflict precharge, then
+open-adaptive precharge); the per-request completion hook runs when a
+request's last burst completes. With an observability registry active,
+every enqueue and issue updates the ``dram.*`` counters and depth
+histograms and, with an event sink attached, emits ``dram.enqueue`` /
+``dram.issue`` events (``dram.drain`` from :meth:`MemoryEngine.drain`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
-from ..core.columnar import ColumnarTrace, numpy_or_none
-from ..core.request import Operation
-from ..interconnect.crossbar import Crossbar, CrossbarConfig
-from .address_map import Burst
+from ..core.columnar import numpy_or_none
+from .address_map import AddressMap
+from .chargecache import ChargeCache
 from .config import MemoryConfig
-from .controller import _BankState, _BurstQueue
-from .memory_system import MemorySystem
-from .stats import MemorySystemStats
+from .stats import ControllerStats, MemorySystemStats
 
-#: Minimum requests left in a span to justify a quiescent-scan attempt.
-_MIN_ATTEMPT = 64
-#: Quiescent commits smaller than this count as a failed attempt.
-_MIN_COMMIT = 32
-#: Requests to replay before retrying the quiescent scan after a failure.
-_COOLDOWN = 256
-#: Requests per quiescent-scan window.
-_MAX_WINDOW = 65536
-#: Requests per transcription span (tier-1 re-check granularity).
-_SPAN = 4096
-#: Timestamp ceiling for the int64 fast-path arithmetic.
-_TIME_CEILING = 1 << 61
+#: ``service`` limit that never cuts a channel off (drain).
+_FOREVER = float("inf")
+
+#: Per-request completion hook: ``(request_id, latency)``.
+CompletionHook = Callable[[int, int], None]
 
 
-def batched_replay_supported(
-    config: Optional[MemoryConfig] = None,
-    crossbar_config: Optional[CrossbarConfig] = None,
-) -> bool:
-    """Whether the batched fast path can engage for this setup.
+def batched_replay_supported(config=None, crossbar_config=None) -> bool:
+    """Whether the engine runs this configuration: always ``True``.
 
-    ``False`` means batched replay would be pure pass-through — callers
-    should keep the plain scalar loop. The checks mirror the fallback
-    matrix in the module docstring; ``crossbar_config`` imposes no
-    constraints today but participates in the signature so dispatch
-    sites stay future-proof.
+    Every configuration — refresh, ChargeCache, either page policy,
+    observability sinks, with or without numpy — runs the one engine.
     """
-    del crossbar_config  # no crossbar constraints; any latency/gap works
-    if numpy_or_none() is None:
-        return False
-    config = config if config is not None else MemoryConfig()
-    if config.timing.t_refi:
-        return False
-    if config.charge_cache is not None:
-        return False
-    if config.page_policy not in ("open", "open_adaptive"):
-        return False
-    registry = obs.active()
-    if registry is not None and registry.sink is not None:
-        return False
+    del config, crossbar_config
     return True
 
 
-class BatchedReplay:
-    """Open-loop replay engine over column blocks.
-
-    Feed time-ordered :class:`ColumnarTrace` blocks with :meth:`feed`
-    (pass ``final=True`` on the last one), then call :meth:`finish` to
-    drain and read the statistics. The engine owns a real
-    :class:`MemorySystem` + :class:`Crossbar`; every span commit
-    writes queues, bank states, flags and statistics back into those
-    objects, so fast spans and scalar interop mix seamlessly.
-    """
+class ChannelState:
+    """One channel's controller state (see the module docstring)."""
 
     __slots__ = (
-        "memory",
-        "crossbar",
-        "_np",
-        "_fast_ok",
-        "_cooldown",
+        "stats",
+        "open_rows",
+        "ready_at",
+        "reads",
+        "writes",
+        "read_rows",
+        "write_rows",
+        "bus_free",
+        "last_was_write",
+        "draining",
+        "reads_since",
+        "next_refresh",
+        "charge_cache",
+    )
+
+    def __init__(self, config: MemoryConfig) -> None:
+        self.stats = ControllerStats()
+        self.open_rows: Dict[int, int] = {}
+        self.ready_at: Dict[int, int] = {}
+        self.reads: Dict[int, tuple] = {}
+        self.writes: Dict[int, tuple] = {}
+        self.read_rows: Dict[Tuple[int, int], List[int]] = {}
+        self.write_rows: Dict[Tuple[int, int], List[int]] = {}
+        self.bus_free = 0
+        self.last_was_write: Optional[bool] = None
+        self.draining = False
+        self.reads_since = 0
+        self.next_refresh: Optional[int] = config.timing.t_refi or None
+        self.charge_cache = (
+            ChargeCache(config.charge_cache) if config.charge_cache is not None else None
+        )
+
+    @property
+    def pending(self) -> int:
+        return len(self.reads) + len(self.writes)
+
+
+class MemoryEngine:
+    """All channels of one memory system plus its in-order front end."""
+
+    __slots__ = (
+        "config",
+        "address_map",
+        "channels",
+        "stats",
+        "outstanding",
+        "next_id",
+        "last_request_id",
+        "last_presented",
+        "last_submit",
+        "on_request_complete",
+        "_seq",
+        "_timing",
+        "_watermarks",
         "_obs",
         "_obs_enqueued",
         "_obs_issued",
         "_obs_row_hits",
-        "_obs_forwarded",
-        "_obs_delay",
-        "_obs_stalls",
-        "_obs_stall_cycles",
         "_obs_read_depth",
         "_obs_write_depth",
     )
 
-    def __init__(
-        self,
-        config: Optional[MemoryConfig] = None,
-        crossbar_config: Optional[CrossbarConfig] = None,
-    ) -> None:
-        self.memory = MemorySystem(config)
-        self.crossbar = Crossbar(self.memory, crossbar_config)
-        self._np = numpy_or_none()
-        self._fast_ok = batched_replay_supported(self.memory.config, self.crossbar.config)
-        self._cooldown = 0
+    def __init__(self, config: Optional[MemoryConfig] = None) -> None:
+        config = config if config is not None else MemoryConfig()
+        self.config = config
+        self.address_map = AddressMap(config)
+        self.channels = [ChannelState(config) for _ in range(config.num_channels)]
+        self.stats = MemorySystemStats(channels=[state.stats for state in self.channels])
+        self.outstanding: Dict[int, List[int]] = {}
+        self.next_id = 0
+        self.last_request_id: Optional[int] = None
+        self.last_presented = 0
+        self.last_submit = 0
+        self.on_request_complete: Optional[CompletionHook] = None
+        self._seq = 0
+        timing = config.timing
+        self._timing = (
+            timing.t_rp,
+            timing.t_rcd,
+            timing.t_cl,
+            timing.t_burst,
+            timing.t_rtw,
+            timing.t_wtr,
+            config.page_policy == "open_adaptive",
+        )
+        self._watermarks = (config.write_low_watermark, config.write_high_watermark)
+        # Observability: capture the active registry once; every hot-path
+        # site reduces to one ``is None`` test when observability is off.
         registry = obs.active()
-        self._obs = registry if registry is not None and registry.sink is None else None
-        if self._obs is not None:
+        self._obs = registry
+        if registry is not None:
             self._obs_enqueued = registry.counter("dram.enqueued")
             self._obs_issued = registry.counter("dram.issued")
             self._obs_row_hits = registry.counter("dram.row_hits")
-            self._obs_forwarded = registry.counter("crossbar.forwarded")
-            self._obs_delay = registry.histogram("crossbar.delay_cycles")
-            self._obs_stalls = registry.counter("crossbar.stalls")
-            self._obs_stall_cycles = registry.counter("crossbar.stall_cycles")
             self._obs_read_depth = [
                 registry.histogram(f"dram.ch{c}.read_queue_depth")
-                for c in range(self.memory.config.num_channels)
+                for c in range(config.num_channels)
             ]
             self._obs_write_depth = [
                 registry.histogram(f"dram.ch{c}.write_queue_depth")
-                for c in range(self.memory.config.num_channels)
+                for c in range(config.num_channels)
             ]
 
-    @property
-    def stats(self) -> MemorySystemStats:
-        return self.memory.stats
+    # -- the FR-FCFS scheduler -------------------------------------------------
 
-    # -- driving ---------------------------------------------------------------
+    def service(self, ch: int, limit) -> int:
+        """Issue bursts on channel ``ch`` in FR-FCFS order.
 
-    def feed(self, block: ColumnarTrace, final: bool = False) -> None:
-        """Replay one column block (requests in time order).
-
-        ``final=True`` asserts no further blocks follow, which lets the
-        quiescent scan certify the last burst per channel instead of
-        leaving it to the transcription.
+        Issues every burst whose scheduling decision falls before
+        ``limit``; ``limit=None`` issues exactly one burst regardless of
+        time (the channel must hold one) and returns its finish time.
+        Otherwise returns 0.
         """
-        n = len(block)
-        if not n:
-            return
-        if self._fast_ok and self.memory.on_request_complete is None:
-            np = self._np
-            ts = np.asarray(block.timestamps, dtype=np.uint64)
-            if int(ts.max()) <= _TIME_CEILING:
-                self._feed_fast(block, ts.astype(np.int64), final)
-                return
-        send = self.crossbar.send
-        for request in block.iter_requests():
-            send(request)
-
-    def finish(self) -> MemorySystemStats:
-        """Drain every queued burst and return the system statistics."""
-        self.memory.drain()
-        return self.memory.stats
-
-    # -- internals -------------------------------------------------------------
-
-    def _feed_fast(self, block: ColumnarTrace, ts, final: bool) -> None:
-        np = self._np
-        n = len(block)
-        address_map = self.memory.address_map
-        expand = address_map.expand_many(block.addresses, block.sizes)
-        decoded = address_map.decode_many(expand.addresses)
-        ops = np.asarray(block.ops, dtype=np.int64)
-        burst_write = ops[expand.request_index]
-        controllers = self.memory.controllers
-        quiescent_ok = (
-            self.memory.config.page_policy == "open_adaptive"
-            and self.memory.config.timing.t_rp
-            <= self.memory.config.timing.t_rcd + self.memory.config.timing.t_burst
-        )
-        lists = None
-
-        i = 0
-        while i < n:
-            if (
-                quiescent_ok
-                and self._cooldown <= 0
-                and n - i >= _MIN_ATTEMPT
-                and not any(c.pending for c in controllers)
-            ):
-                committed = self._attempt(
-                    i, n, final, ts, expand, decoded.channel, decoded.bank_id,
-                    burst_write,
-                )
-                if committed:
-                    i += committed
-                    if committed >= _MIN_COMMIT:
-                        continue
-                self._cooldown = _COOLDOWN
-            if lists is None:
-                lists = (
-                    ts.tolist(),
-                    expand.offsets.tolist(),
-                    decoded.channel.tolist(),
-                    decoded.bank_id.tolist(),
-                    decoded.row.tolist(),
-                    _tolist(block.ops),
-                    expand.addresses,
-                )
-            end = min(n, i + _SPAN)
-            self._run_span(i, end, lists)
-            self._cooldown -= end - i
-            i = end
-
-    def _forward_times(self, t):
-        """Crossbar forward times for a window, assuming no backpressure."""
-        np = self._np
-        crossbar = self.crossbar
-        gap = crossbar.config.min_gap
-        steps = np.arange(len(t), dtype=np.int64) * gap
-        shifted = (t + crossbar.config.latency) - steps
-        carry = crossbar._last_forward_time
-        if carry is not None and carry + gap > int(shifted[0]):
-            shifted[0] = carry + gap
-        return np.maximum.accumulate(shifted) + steps
-
-    # -- tier 2: transcribed replay --------------------------------------------
-
-    def _run_span(self, i, end, lists) -> None:
-        """Replay requests [i, end) as a transcription of the scalar loop.
-
-        One pass over the span reproduces, over primitive ints, exactly
-        what ``Crossbar.send`` + ``MemorySystem.submit`` + the
-        controllers' ``service_until``/``service_one``/``enqueue`` do —
-        including queue-full backpressure relief and every statistics
-        side effect — then commits the resulting state into the real
-        objects. Completion accounting mutates ``memory._outstanding``
-        directly (the commit is unconditional, so no rollback is ever
-        needed).
-        """
-        ts_l, off_l, chan_l, bank_l, row_l, ops_l, addresses = lists
-        memory = self.memory
-        crossbar = self.crossbar
-        config = memory.config
-        timing = config.timing
-        t_rp = timing.t_rp
-        t_rcd = timing.t_rcd
-        t_cl = timing.t_cl
-        t_burst = timing.t_burst
-        t_rtw = timing.t_rtw
-        t_wtr = timing.t_wtr
-        adaptive = config.page_policy == "open_adaptive"
-        low = config.write_low_watermark
-        high = config.write_high_watermark
-        read_capacity = config.read_queue_size
-        write_capacity = config.write_queue_size
-        latency = crossbar.config.latency
-        gap = crossbar.config.min_gap
-        track = self._obs is not None
-
-        # -- load carried state from the real objects ----------------------
-        num_channels = config.num_channels
-        controllers = memory.controllers
-        banks_l = []
-        busf_l = []
-        lww_l = []
-        drain_l = []
-        rs_l = []
-        rq_l = []
-        wq_l = []
-        byr_l = []
-        byw_l = []
-        rseq_l = []
-        wseq_l = []
-        for controller in controllers:
-            banks_l.append(
-                {
-                    bank: [state.open_row, state.ready_at]
-                    for bank, state in controller._banks.items()
-                }
-            )
-            busf_l.append(controller._bus_free_at)
-            lww_l.append(controller._last_was_write)
-            drain_l.append(controller._draining_writes)
-            rs_l.append(controller._reads_since_turnaround)
-            for queue, store_q, store_by, store_seq in (
-                (controller._read_queue, rq_l, byr_l, rseq_l),
-                (controller._write_queue, wq_l, byw_l, wseq_l),
-            ):
-                entries = {}
-                byrow = {}
-                seq = 0
-                for burst in queue:
-                    row = burst.coordinates.row
-                    entries[seq] = (
-                        burst.arrival_time, burst.bank_id, row,
-                        burst.request_id, burst,
-                    )
-                    byrow.setdefault((burst.bank_id, row), []).append(seq)
-                    seq += 1
-                store_q.append(entries)
-                store_by.append(byrow)
-                store_seq.append(seq)
-
-        nr_l = [0] * num_channels
-        nw_l = [0] * num_channels
-        rh_l = [0] * num_channels
-        wh_l = [0] * num_channels
-        turn_l = [[] for _ in range(num_channels)]
-        firstst_l = [-1] * num_channels
-        lastf_l = [0] * num_channels
-        rqseen_l = [{} for _ in range(num_channels)]
-        wqseen_l = [{} for _ in range(num_channels)]
-        pbr_l = [{} for _ in range(num_channels)]
-        pbw_l = [{} for _ in range(num_channels)]
-        depr_l = [[0, 0, None, None] for _ in range(num_channels)]
-        depw_l = [[0, 0, None, None] for _ in range(num_channels)]
-
-        outstanding = memory._outstanding
-        lat = [0, 0]  # latency_sum delta, latency_count delta
-        xb = [0, 0, None, None]  # crossbar delay count/total/min/max
-        stalls = [0, 0]  # count, cycles
-        bp_total = 0
-        xb_total = 0
-        carry = crossbar._last_forward_time
-        last_submit = memory._last_submit_time
-        next_id = memory._next_request_id
-        presented = memory._last_presented_time
-
-        def service(ch, limit):
-            """``service_until(limit)``; ``limit=None`` = ``service_one``.
-
-            Returns the issued burst's finish time in the ``service_one``
-            case (the backpressure relief path), else 0.
-            """
-            banks = banks_l[ch]
-            rq = rq_l[ch]
-            wq = wq_l[ch]
-            byr = byr_l[ch]
-            byw = byw_l[ch]
-            bus_free = busf_l[ch]
-            last_was_write = lww_l[ch]
-            draining = drain_l[ch]
-            reads_since = rs_l[ch]
-            turn = turn_l[ch]
-            freed = 0
-            while rq or wq:
-                # _choose_direction (records turnarounds even when the
-                # decision-time check below then cuts the issue off).
-                if draining and wq and not (len(wq) <= low and rq):
-                    direction = True
-                else:
-                    draining = False
-                    if len(wq) >= high:
-                        draining = True
-                        turn.append(reads_since)
-                        reads_since = 0
-                        direction = True
-                    elif rq:
-                        direction = False
-                    elif wq:
-                        draining = True
-                        turn.append(reads_since)
-                        reads_since = 0
-                        direction = True
-                    else:
-                        break
-                if direction:
-                    entries, byrow = wq, byw
-                else:
-                    entries, byrow = rq, byr
-                earliest = entries[next(iter(entries))][0]
-                decision = bus_free if bus_free > earliest else earliest
-                if limit is not None and decision >= limit:
-                    break
-                # _pick_burst: first-arrived row hit, else the FIFO-oldest
-                # (whose arrival never exceeds decision, by construction).
-                best = None
-                for bank_id, bank_state in banks.items():
-                    open_row = bank_state[0]
-                    if open_row is None:
-                        continue
-                    key = (bank_id, open_row)
-                    row_queue = byrow.get(key)
-                    if row_queue is None:
-                        continue
-                    while row_queue and row_queue[0] not in entries:
-                        del row_queue[0]
-                    if not row_queue:
-                        del byrow[key]
-                        continue
-                    seq = row_queue[0]
-                    if best is None or seq < best:
-                        best = seq
-                if best is not None and entries[best][0] <= decision:
-                    seq = best
-                else:
-                    seq = next(iter(entries))
-                # _issue
-                _arrival, bank_id, row, rid, _payload = entries.pop(seq)
-                key = (bank_id, row)
+        state = self.channels[ch]
+        rq = state.reads
+        wq = state.writes
+        low, high = self._watermarks
+        bus_free = state.bus_free
+        draining = state.draining
+        open_rows = None  # the rest of the state loads at the first issue
+        freed = 0
+        while rq or wq:
+            # Direction: a write drain runs until the low watermark with
+            # reads waiting; the high watermark (or an idle read queue)
+            # starts one and records a turnaround — even when the
+            # decision-time check below then cuts the issue off.
+            if draining and wq and not (len(wq) <= low and rq):
+                direction = True
+            elif len(wq) >= high or not rq:
+                draining = True
+                state.stats.reads_per_turnaround.append(state.reads_since)
+                state.reads_since = 0
+                direction = True
+            else:
+                draining = False
+                direction = False
+            if direction:
+                entries = wq
+            else:
+                entries = rq
+            earliest = entries[next(iter(entries))][0]
+            decision = bus_free if bus_free > earliest else earliest
+            if limit is not None and decision >= limit:
+                break
+            if open_rows is None:
+                t_rp, t_rcd, t_cl, t_burst, t_rtw, t_wtr, adaptive = self._timing
+                open_rows = state.open_rows
+                ready_at = state.ready_at
+                byr = state.read_rows
+                byw = state.write_rows
+                stats = state.stats
+                charge_cache = state.charge_cache
+                last_was_write = state.last_was_write
+                next_refresh = state.next_refresh
+                outstanding = self.outstanding
+                registry = self._obs
+            byrow = byw if direction else byr
+            # Pick: the first-arrived row hit, else the FIFO-oldest burst
+            # (whose arrival never exceeds the decision time).
+            best = None
+            for bank_id, open_row in open_rows.items():
+                key = (bank_id, open_row)
                 row_queue = byrow.get(key)
-                if row_queue is not None:
-                    while row_queue and row_queue[0] not in entries:
-                        del row_queue[0]
-                    if not row_queue:
-                        del byrow[key]
-                bank_state = banks.get(bank_id)
-                if bank_state is None:
-                    banks[bank_id] = bank_state = [None, 0]
-                row_hit = bank_state[0] == row
-                start = decision if decision > bank_state[1] else bank_state[1]
-                if last_was_write is not None and last_was_write != direction:
-                    stalled = bus_free + (t_wtr if last_was_write else t_rtw)
-                    if stalled > start:
-                        start = stalled
-                if not row_hit:
-                    if bank_state[0] is not None:
-                        start += t_rp
+                if row_queue is None:
+                    continue
+                while row_queue and row_queue[0] not in entries:
+                    del row_queue[0]
+                if not row_queue:
+                    del byrow[key]
+                    continue
+                seq = row_queue[0]
+                if best is None or seq < best:
+                    best = seq
+            if best is not None and entries[best][0] <= decision:
+                seq = best
+            else:
+                seq = next(iter(entries))
+            if next_refresh is not None and decision >= next_refresh:
+                bus_free, decision = self._refresh(state, bus_free, decision)
+                next_refresh = state.next_refresh
+            # Issue.
+            _arrival, bank_id, row, rid = entries.pop(seq)
+            key = (bank_id, row)
+            row_queue = byrow.get(key)
+            if row_queue is not None:
+                while row_queue and row_queue[0] not in entries:
+                    del row_queue[0]
+                if not row_queue:
+                    del byrow[key]
+                    row_queue = None
+            open_row = open_rows.get(bank_id)
+            row_hit = open_row == row
+            start = ready_at.get(bank_id, 0)
+            if decision > start:
+                start = decision
+            if last_was_write is not None and last_was_write != direction:
+                stalled = bus_free + (t_wtr if last_was_write else t_rtw)
+                if stalled > start:
+                    start = stalled
+            if not row_hit:
+                if open_row is not None:
+                    start += t_rp
+                    if charge_cache is not None:
+                        charge_cache.insert(bank_id, open_row, start)
+                if charge_cache is not None and charge_cache.lookup(bank_id, row, start):
+                    # A recently closed row still holds charge: faster activate.
+                    start += max(0, t_rcd - charge_cache.activation_saving)
+                else:
                     start += t_rcd
-                finish = start + t_burst
-                bus_free = finish
-                last_was_write = direction
-                bank_state[0] = row
-                bank_state[1] = finish
-                if adaptive:
-                    # open-adaptive: precharge unless a queued burst
-                    # (either queue) still targets this row.
-                    pending_hit = False
-                    for other_entries, other_byrow in ((rq, byr), (wq, byw)):
-                        row_queue = other_byrow.get(key)
-                        if row_queue is None:
-                            continue
+            finish = start + t_burst
+            bus_free = finish
+            last_was_write = direction
+            open_rows[bank_id] = row
+            ready_at[bank_id] = finish
+            if adaptive:
+                # Keep the row open while either queue still targets it;
+                # ``row_queue`` already answers for the issuing queue.
+                pending_hit = row_queue is not None
+                if not pending_hit:
+                    other_entries, other_byrow = (rq, byr) if direction else (wq, byw)
+                    row_queue = other_byrow.get(key)
+                    if row_queue is not None:
                         while row_queue and row_queue[0] not in other_entries:
                             del row_queue[0]
                         if row_queue:
                             pending_hit = True
-                            break
-                        del other_byrow[key]
-                    if not pending_hit:
-                        bank_state[0] = None
-                        bank_state[1] = finish + t_rp
-                # _record_issue + _complete_burst
-                if firstst_l[ch] < 0:
-                    firstst_l[ch] = start
-                lastf_l[ch] = finish
-                if direction:
-                    nw_l[ch] += 1
-                    wh_l[ch] += row_hit
-                    per_bank = pbw_l[ch]
-                    completion = finish
-                else:
-                    nr_l[ch] += 1
-                    rh_l[ch] += row_hit
-                    per_bank = pbr_l[ch]
-                    reads_since += 1
-                    completion = finish + t_cl
-                per_bank[bank_id] = per_bank.get(bank_id, 0) + 1
-                entry = outstanding[rid]
-                entry[0] -= 1
-                if completion > entry[2]:
-                    entry[2] = completion
-                if entry[0] == 0:
-                    lat[0] += entry[2] - entry[1]
-                    lat[1] += 1
-                    del outstanding[rid]
-                if limit is None:
-                    freed = finish
-                    break
-            busf_l[ch] = bus_free
-            lww_l[ch] = last_was_write
-            drain_l[ch] = draining
-            rs_l[ch] = reads_since
-            return freed
+                        else:
+                            del other_byrow[key]
+                if not pending_hit:
+                    del open_rows[bank_id]
+                    ready_at[bank_id] = finish + t_rp
+                    if charge_cache is not None:
+                        charge_cache.insert(bank_id, row, finish + t_rp)
+            if stats.first_issue_time < 0:
+                stats.first_issue_time = start
+            stats.last_finish_time = finish
+            stats.data_bus_busy_cycles += t_burst
+            if direction:
+                stats.write_bursts += 1
+                stats.write_row_hits += row_hit
+                stats.per_bank_writes[bank_id] += 1
+                completion = finish
+            else:
+                stats.read_bursts += 1
+                stats.read_row_hits += row_hit
+                stats.per_bank_reads[bank_id] += 1
+                state.reads_since += 1
+                completion = finish + t_cl
+            if registry is not None:
+                self._observe_issue(ch, bank_id, direction, row_hit, finish)
+            entry = outstanding[rid]
+            entry[0] -= 1
+            if completion > entry[2]:
+                entry[2] = completion
+            if entry[0] == 0:
+                latency = entry[2] - entry[1]
+                self.stats.latency_sum += latency
+                self.stats.latency_count += 1
+                del outstanding[rid]
+                if self.on_request_complete is not None:
+                    self.on_request_complete(rid, latency)
+            if limit is None:
+                freed = finish
+                break
+        state.bus_free = bus_free
+        state.draining = draining
+        if open_rows is not None:
+            state.last_was_write = last_was_write
+        return freed
 
-        # -- the scalar outer loop: crossbar.send + memory.submit ----------
-        for k in range(i, end):
+    def _refresh(self, state: ChannelState, bus_free: int, decision: int):
+        """Stall for every refresh window that expires before ``decision``.
+
+        A refresh closes every row of the channel and holds its banks
+        and bus for ``t_rfc``. Returns the new ``(bus_free, decision)``.
+        """
+        timing = self.config.timing
+        next_refresh = state.next_refresh
+        while decision >= next_refresh:
+            refresh_end = next_refresh + timing.t_rfc
+            state.open_rows.clear()
+            ready_at = state.ready_at
+            for bank_id, ready in ready_at.items():
+                if ready < refresh_end:
+                    ready_at[bank_id] = refresh_end
+            if bus_free < refresh_end:
+                bus_free = refresh_end
+            if decision < refresh_end:
+                decision = refresh_end
+            next_refresh += timing.t_refi
+            state.stats.refreshes += 1
+        state.next_refresh = next_refresh
+        return bus_free, decision
+
+    # -- one request at a time -------------------------------------------------
+
+    def enqueue(self, ch: int, is_write, bank: int, row: int, arrival: int, rid: int) -> None:
+        """Queue one burst of request ``rid`` on channel ``ch``.
+
+        The queue must have room, and ``rid`` must be outstanding.
+        """
+        state = self.channels[ch]
+        if is_write:
+            entries, byrow = state.writes, state.write_rows
+            state.stats.write_queue_len_seen[len(entries)] += 1
+        else:
+            entries, byrow = state.reads, state.read_rows
+            state.stats.read_queue_len_seen[len(entries)] += 1
+        seq = self._seq
+        self._seq = seq + 1
+        entries[seq] = (arrival, bank, row, rid)
+        row_queue = byrow.get((bank, row))
+        if row_queue is None:
+            byrow[(bank, row)] = [seq]
+        else:
+            row_queue.append(seq)
+        if self._obs is not None:
+            self._observe_enqueue(ch, is_write, bank, row, arrival)
+
+    def submit(self, presented: int, address: int, size: int, is_write, origin: int) -> int:
+        """Present one request to the in-order port; returns its acceptance time.
+
+        ``presented`` is when the request reaches the port (requests must
+        arrive in time order) and ``origin`` when its device issued it,
+        which latency is measured from. Acceptance is delayed past
+        ``presented`` by the previous acceptance (the port is in-order)
+        and by full queues (backpressure).
+        """
+        if presented < self.last_presented:
+            raise ValueError(
+                f"requests must be submitted in time order "
+                f"({presented} < {self.last_presented})"
+            )
+        self.last_presented = presented
+        accept = presented if presented > self.last_submit else self.last_submit
+        rid = self.next_id
+        self.next_id = rid + 1
+        self.last_request_id = rid
+        config = self.config
+        burst_size = config.burst_size
+        first = address // burst_size
+        last = (address + size - 1) // burst_size
+        self.outstanding[rid] = [last - first + 1, origin, 0]
+        capacity = config.write_queue_size if is_write else config.read_queue_size
+        locate = self.address_map.locate
+        service = self.service
+        for number in range(first, last + 1):
+            ch, bank, row = locate(number)
+            service(ch, accept)
+            state = self.channels[ch]
+            entries = state.writes if is_write else state.reads
+            while len(entries) >= capacity:
+                freed = service(ch, None)
+                if freed > accept:
+                    accept = freed
+            self.enqueue(ch, is_write, bank, row, accept, rid)
+        self.stats.backpressure_delay += accept - presented
+        self.last_submit = accept
+        return accept
+
+    def drain(self, channels=None) -> None:
+        """Service every queued burst (of ``channels``; default all)."""
+        registry = self._obs
+        for ch in range(len(self.channels)) if channels is None else channels:
+            pending = self.channels[ch].pending
+            if not pending:
+                continue
+            if registry is not None and registry.sink is not None:
+                registry.event("dram.drain", channel=ch, pending=pending)
+            self.service(ch, _FOREVER)
+
+    # -- a column block at a time ----------------------------------------------
+
+    def feed(self, block, crossbar) -> None:
+        """Forward a time-ordered column block through ``crossbar``.
+
+        The inlined twin of ``crossbar.send`` per request: identical
+        forwarding, acceptance, backpressure relief and statistics,
+        without per-request objects or method dispatch outside
+        :meth:`service`.
+        """
+        n = len(block)
+        if not n:
+            return
+        ts_l, off_l, chan_l, bank_l, row_l, ops_l = self._burst_columns(block)
+        service = self.service
+        channels = self.channels
+        rq_l = [state.reads for state in channels]
+        wq_l = [state.writes for state in channels]
+        byr_l = [state.read_rows for state in channels]
+        byw_l = [state.write_rows for state in channels]
+        rseen_l = [state.stats.read_queue_len_seen for state in channels]
+        wseen_l = [state.stats.write_queue_len_seen for state in channels]
+        read_capacity = self.config.read_queue_size
+        write_capacity = self.config.write_queue_size
+        latency = crossbar.config.latency
+        gap = crossbar.config.min_gap
+        carry = crossbar._last_forward_time
+        observe = self._obs is not None
+        observe_crossbar = crossbar._obs is not None
+        outstanding = self.outstanding
+        last_submit = self.last_submit
+        next_id = self.next_id
+        seq = self._seq
+        backpressure = 0
+        delay_total = 0
+        forward = 0
+        for k in range(n):
             t_k = ts_l[k]
             forward = t_k + latency
-            if carry is not None:
-                shifted = carry + gap
-                if shifted > forward:
-                    forward = shifted
-            presented = forward
-            accept = presented if presented > last_submit else last_submit
+            if carry is not None and carry + gap > forward:
+                forward = carry + gap
+            accept = forward if forward > last_submit else last_submit
             rid = next_id
             next_id += 1
             first_burst = off_l[k]
@@ -534,358 +530,115 @@ class BatchedReplay:
                 service(ch, accept)
                 if is_write:
                     entries = wq_l[ch]
+                    byrow = byw_l[ch]
+                    seen = wseen_l[ch]
                     capacity = write_capacity
                 else:
                     entries = rq_l[ch]
+                    byrow = byr_l[ch]
+                    seen = rseen_l[ch]
                     capacity = read_capacity
                 while len(entries) >= capacity:
                     freed = service(ch, None)
                     if freed > accept:
                         accept = freed
-                depth = len(entries)
+                seen[len(entries)] += 1
                 bank = bank_l[j]
                 row = row_l[j]
-                if is_write:
-                    seen = wqseen_l[ch]
-                    seq = wseq_l[ch]
-                    wseq_l[ch] = seq + 1
-                    byrow = byw_l[ch]
-                else:
-                    seen = rqseen_l[ch]
-                    seq = rseq_l[ch]
-                    rseq_l[ch] = seq + 1
-                    byrow = byr_l[ch]
-                seen[depth] = seen.get(depth, 0) + 1
-                entries[seq] = (accept, bank, row, rid, j)
+                entries[seq] = (accept, bank, row, rid)
                 row_queue = byrow.get((bank, row))
                 if row_queue is None:
                     byrow[(bank, row)] = [seq]
                 else:
                     row_queue.append(seq)
-                if track:
-                    depth += 1
-                    dep = depw_l[ch] if is_write else depr_l[ch]
-                    dep[0] += 1
-                    dep[1] += depth
-                    if dep[2] is None or depth < dep[2]:
-                        dep[2] = depth
-                    if dep[3] is None or depth > dep[3]:
-                        dep[3] = depth
-            bp_total += accept - presented
+                seq += 1
+                if observe:
+                    self._observe_enqueue(ch, is_write, bank, row, accept)
+            backpressure += accept - forward
             last_submit = accept
             carry = accept
             delay = accept - (t_k + latency)
-            xb_total += delay
-            if track:
-                xb[0] += 1
-                xb[1] += delay
-                if xb[2] is None or delay < xb[2]:
-                    xb[2] = delay
-                if xb[3] is None or delay > xb[3]:
-                    xb[3] = delay
-                if delay > 0:
-                    stalls[0] += 1
-                    stalls[1] += delay
-
-        # -- commit back into the real objects -----------------------------
-        enqueued = off_l[end] - off_l[i]
-        issued_total = 0
-        hits_total = 0
-        address_map = memory.address_map
-        for ch, controller in enumerate(controllers):
-            stats = controller.stats
-            issues = nr_l[ch] + nw_l[ch]
-            issued_total += issues
-            hits_total += rh_l[ch] + wh_l[ch]
-            stats.read_bursts += nr_l[ch]
-            stats.write_bursts += nw_l[ch]
-            stats.read_row_hits += rh_l[ch]
-            stats.write_row_hits += wh_l[ch]
-            for length, count in rqseen_l[ch].items():
-                stats.read_queue_len_seen[length] += count
-            for length, count in wqseen_l[ch].items():
-                stats.write_queue_len_seen[length] += count
-            for bank, count in pbr_l[ch].items():
-                stats.per_bank_reads[bank] += count
-            for bank, count in pbw_l[ch].items():
-                stats.per_bank_writes[bank] += count
-            stats.reads_per_turnaround.extend(turn_l[ch])
-            if issues:
-                if stats.first_issue_time < 0:
-                    stats.first_issue_time = firstst_l[ch]
-                stats.last_finish_time = lastf_l[ch]
-                stats.data_bus_busy_cycles += t_burst * issues
-            real_banks = controller._banks
-            for bank, state in banks_l[ch].items():
-                real = real_banks.get(bank)
-                if real is None:
-                    real_banks[bank] = real = _BankState()
-                real.open_row = state[0]
-                real.ready_at = state[1]
-            controller._bus_free_at = busf_l[ch]
-            controller._last_was_write = lww_l[ch]
-            controller._draining_writes = drain_l[ch]
-            controller._reads_since_turnaround = rs_l[ch]
-            controller._read_queue = _rebuild_queue(
-                rq_l[ch], Operation.READ, addresses, address_map
-            )
-            controller._write_queue = _rebuild_queue(
-                wq_l[ch], Operation.WRITE, addresses, address_map
-            )
-            if track:
-                for summary, histogram in (
-                    (depr_l[ch], self._obs_read_depth[ch]),
-                    (depw_l[ch], self._obs_write_depth[ch]),
-                ):
-                    if summary[0]:
-                        histogram.observe_summary(*summary)
-
-        memory.stats.latency_sum += lat[0]
-        memory.stats.latency_count += lat[1]
-        memory.stats.backpressure_delay += bp_total
-        memory._next_request_id = next_id
-        memory.last_request_id = next_id - 1
-        memory._last_presented_time = presented
-        memory._last_submit_time = last_submit
+            delay_total += delay
+            if observe_crossbar:
+                crossbar._observe(delay)
+        self._seq = seq
+        self.next_id = next_id
+        self.last_request_id = next_id - 1
+        self.last_presented = forward
+        self.last_submit = last_submit
+        self.stats.backpressure_delay += backpressure
         crossbar._last_forward_time = carry
-        crossbar.total_delay += xb_total
-        if track:
-            if enqueued:
-                self._obs_enqueued.inc(enqueued)
-            if issued_total:
-                self._obs_issued.inc(issued_total)
-            if hits_total:
-                self._obs_row_hits.inc(hits_total)
-            self._obs_forwarded.inc(end - i)
-            self._obs_delay.observe_summary(*xb)
-            if stalls[0]:
-                self._obs_stalls.inc(stalls[0])
-                self._obs_stall_cycles.inc(stalls[1])
-
-    # -- tier 1: quiescent-epoch vectorized scan -------------------------------
-
-    def _attempt(self, i, n, final, ts, expand, chan, bankid, burst_write) -> int:
-        """Vectorized scan over requests [i, min(i+window, n)) from a fully
-        drained state. Returns the number of requests committed (0 = the
-        alone-burst regime is not provable here)."""
-        np = self._np
-        end = min(n, i + _MAX_WINDOW)
-        win_final = final and end == n
-        m = end - i
-        t = ts[i:end]
-        forward = self._forward_times(t)
-
-        b0 = int(expand.offsets[i])
-        b1 = int(expand.offsets[end])
-        req = expand.request_index[b0:b1] - i
-        win_chan = chan[b0:b1]
-        win_bank = bankid[b0:b1]
-        win_write = burst_write[b0:b1]
-
-        timing = self.memory.config.timing
-        access = timing.t_rcd + timing.t_burst
-        cap = m
-        per_channel = []
-        for index, controller in enumerate(self.memory.controllers):
-            sel = np.nonzero(win_chan == index)[0]
-            if not sel.size:
-                per_channel.append(None)
-                continue
-            for state in controller._banks.values():
-                if state.open_row is not None:  # pragma: no cover - defensive
-                    return 0
-            arrivals = forward[req[sel]]
-            writes = win_write[sel]
-            banks = win_bank[sel]
-            count = sel.size
-
-            previous = np.empty(count, dtype=np.int64)
-            previous[1:] = writes[:-1]
-            last_was_write = controller._last_was_write
-            previous[0] = -1 if last_was_write is None else int(last_was_write)
-            penalty = np.where(
-                (previous >= 0) & (previous != writes),
-                np.where(previous == 1, timing.t_wtr, timing.t_rtw),
-                0,
-            )
-            same_bank = np.zeros(count, dtype=bool)
-            same_bank[1:] = banks[1:] == banks[:-1]
-            spacing = np.maximum(penalty, np.where(same_bank, timing.t_rp, 0)) + access
-
-            window_start = arrivals + access
-            unique_banks, first_seen = np.unique(banks, return_index=True)
-            for bank, position in zip(unique_banks.tolist(), first_seen.tolist()):
-                state = controller._banks.get(bank)
-                if state is not None:
-                    ready = state.ready_at + access
-                    if ready > int(window_start[position]):
-                        window_start[position] = ready
-            totals = np.cumsum(spacing)
-            slack = window_start - totals
-            bus_free = controller._bus_free_at
-            if bus_free > int(slack[0]):
-                slack[0] = bus_free
-            finish = np.maximum.accumulate(slack) + totals
-
-            decision = np.empty(count, dtype=np.int64)
-            decision[0] = max(int(arrivals[0]), bus_free)
-            if count > 1:
-                np.maximum(arrivals[1:], finish[:-1], out=decision[1:])
-                invalid = np.nonzero(decision[:-1] >= arrivals[1:])[0]
-                if invalid.size:
-                    cap = min(cap, int(req[sel[int(invalid[0])]]))
-            if not win_final:
-                # The channel's last burst stays uncertain until the
-                # next arrival on this channel is known.
-                cap = min(cap, int(req[sel[-1]]))
-            per_channel.append((sel, writes, banks, finish))
-
-        if cap <= 0:
-            return 0
-        self._commit_attempt(i, cap, t, forward, expand, req, per_channel)
-        return cap
-
-    def _commit_attempt(self, i, committed, t, forward, expand, req, per_channel):
-        """Apply a fully-valid alone-regime prefix as whole-column updates."""
-        np = self._np
-        memory = self.memory
-        timing = memory.config.timing
-        t_burst = timing.t_burst
-        t_rp = timing.t_rp
-        t_cl = timing.t_cl
-        total_bursts = int(expand.offsets[i + committed] - expand.offsets[i])
-        completions = np.empty(len(req), dtype=np.int64)
-
-        for index, data in enumerate(per_channel):
-            if data is None:
-                continue
-            sel, writes, banks, finish = data
-            channel_requests = req[sel]
-            issued = int(np.searchsorted(channel_requests, committed, side="left"))
-            if not issued:
-                continue
-            controller = memory.controllers[index]
-            stats = controller.stats
-            writes_c = writes[:issued]
-            banks_c = banks[:issued]
-            finish_c = finish[:issued]
-            write_count = int(writes_c.sum())
-            read_count = issued - write_count
-
-            stats.read_bursts += read_count
-            stats.write_bursts += write_count
-            if read_count:
-                stats.read_queue_len_seen[0] += read_count
-            if write_count:
-                stats.write_queue_len_seen[0] += write_count
-            bank_key = banks_c * 2 + writes_c
-            unique_keys, key_counts = np.unique(bank_key, return_counts=True)
-            for key, count in zip(unique_keys.tolist(), key_counts.tolist()):
-                if key & 1:
-                    stats.per_bank_writes[key >> 1] += count
-                else:
-                    stats.per_bank_reads[key >> 1] += count
-
-            # Write-drain turnaround records: in the alone regime a
-            # record lands exactly at each read→write transition of the
-            # per-channel service order.
-            previous_flag = np.empty(issued, dtype=np.int64)
-            previous_flag[1:] = writes_c[:-1]
-            previous_flag[0] = 1 if controller._draining_writes else 0
-            reads_before = np.cumsum(1 - writes_c) - (1 - writes_c)
-            transitions = np.nonzero((writes_c == 1) & (previous_flag == 0))[0]
-            if transitions.size:
-                values = reads_before[transitions]
-                stats.reads_per_turnaround.append(
-                    int(values[0]) + controller._reads_since_turnaround
-                )
-                if values.size > 1:
-                    stats.reads_per_turnaround.extend(
-                        int(v) for v in np.diff(values)
-                    )
-                controller._reads_since_turnaround = read_count - int(values[-1])
-            else:
-                controller._reads_since_turnaround += read_count
-            controller._draining_writes = bool(writes_c[-1])
-
-            if stats.first_issue_time < 0:
-                stats.first_issue_time = int(finish_c[0]) - t_burst
-            stats.last_finish_time = int(finish_c[-1])
-            stats.data_bus_busy_cycles += t_burst * issued
-
-            for bank in np.unique(banks_c).tolist():
-                state = controller._banks.get(bank)
-                if state is None:
-                    controller._banks[bank] = state = _BankState()
-                last_position = int(np.nonzero(banks_c == bank)[0][-1])
-                state.open_row = None
-                state.ready_at = int(finish_c[last_position]) + t_rp
-            controller._bus_free_at = int(finish_c[-1])
-            controller._last_was_write = bool(writes_c[-1])
-
-            completions[sel[:issued]] = finish_c + t_cl * (1 - writes_c)
-            if self._obs is not None:
-                self._obs_enqueued.inc(issued)
-                self._obs_issued.inc(issued)
-                if read_count:
-                    self._obs_read_depth[index].observe_many(1, read_count)
-                if write_count:
-                    self._obs_write_depth[index].observe_many(1, write_count)
-
-        request_offsets = expand.offsets[i : i + committed] - expand.offsets[i]
-        latencies = (
-            np.maximum.reduceat(completions[:total_bursts], request_offsets)
-            - t[:committed]
-        )
-        memory.stats.latency_sum += int(latencies.sum())
-        memory.stats.latency_count += committed
-        memory._next_request_id += committed
-        memory.last_request_id = memory._next_request_id - 1
-        accepted = int(forward[committed - 1])
-        memory._last_presented_time = accepted
-        memory._last_submit_time = accepted
-
-        crossbar = self.crossbar
-        delays = forward[:committed] - (t[:committed] + crossbar.config.latency)
-        delay_total = int(delays.sum())
-        crossbar._last_forward_time = accepted
         crossbar.total_delay += delay_total
-        if self._obs is not None:
-            self._obs_forwarded.inc(committed)
-            self._obs_delay.observe_summary(
-                committed, delay_total, int(delays.min()), int(delays.max())
+
+    def _burst_columns(self, block):
+        """Plain-int request and burst columns of a block.
+
+        Returns ``(timestamps, offsets, channels, banks, rows, ops)``:
+        request ``k`` owns bursts ``offsets[k]:offsets[k + 1]``.
+        """
+        address_map = self.address_map
+        timestamps = block.timestamps.tolist()
+        ops = block.ops.tolist()
+        np = numpy_or_none()
+        if np is not None:
+            expand = address_map.expand_many(block.addresses, block.sizes)
+            decoded = address_map.decode_many(expand.addresses)
+            return (
+                timestamps,
+                expand.offsets.tolist(),
+                decoded.channel.tolist(),
+                decoded.bank_id.tolist(),
+                decoded.row.tolist(),
+                ops,
             )
-            stalled = int(np.count_nonzero(delays))
-            if stalled:
-                self._obs_stalls.inc(stalled)
-                self._obs_stall_cycles.inc(delay_total)
+        burst_size = self.config.burst_size
+        locate = address_map.locate
+        offsets = [0]
+        channels: List[int] = []
+        banks: List[int] = []
+        rows: List[int] = []
+        for address, size in zip(block.addresses.tolist(), block.sizes.tolist()):
+            for number in range(address // burst_size, (address + size - 1) // burst_size + 1):
+                ch, bank, row = locate(number)
+                channels.append(ch)
+                banks.append(bank)
+                rows.append(row)
+            offsets.append(len(channels))
+        return timestamps, offsets, channels, banks, rows, ops
 
+    # -- observability ---------------------------------------------------------
 
-def _rebuild_queue(records, operation, addresses, address_map):
-    """Real ``_BurstQueue`` holding a span's leftover bursts.
-
-    ``records`` is the span's primitive queue dict (insertion order ==
-    FIFO order == arrival order). Block-born leftovers carry their
-    global burst column index and are materialized here; carried-in
-    ``Burst`` objects pass through untouched.
-    """
-    queue = _BurstQueue()
-    for arrival, _bank, _row, request_id, payload in records.values():
-        if type(payload) is int:
-            address = int(addresses[payload])
-            burst = Burst(
-                address=address,
-                operation=operation,
-                coordinates=address_map.decode(address),
-                arrival_time=arrival,
-                request_id=request_id,
-            )
+    def _observe_enqueue(self, ch, is_write, bank, row, arrival) -> None:
+        registry = self._obs
+        state = self.channels[ch]
+        self._obs_enqueued.inc()
+        if is_write:
+            self._obs_write_depth[ch].observe(len(state.writes))
         else:
-            burst = payload  # carried in from before the span
-        queue.append(burst)
-    return queue
+            self._obs_read_depth[ch].observe(len(state.reads))
+        if registry.sink is not None:
+            registry.event(
+                "dram.enqueue",
+                channel=ch,
+                bank=bank,
+                row=row,
+                is_read=not is_write,
+                arrival=arrival,
+                read_queue=len(state.reads),
+                write_queue=len(state.writes),
+            )
 
-
-def _tolist(column):
-    """Plain-int list from a numpy or stdlib-array column."""
-    return [int(v) for v in column.tolist()]
+    def _observe_issue(self, ch, bank, is_write, row_hit, finish) -> None:
+        registry = self._obs
+        self._obs_issued.inc()
+        if row_hit:
+            self._obs_row_hits.inc()
+        if registry.sink is not None:
+            registry.event(
+                "dram.issue",
+                channel=ch,
+                bank=bank,
+                is_read=not is_write,
+                row_hit=bool(row_hit),
+                finish=finish,
+            )

@@ -1,430 +1,112 @@
-"""Event-driven DRAM memory controller.
+"""One channel's memory controller, as a view over the memory engine.
 
-Implements the gem5 minimal-controller semantics the paper's evaluation
-relies on (Hansson et al. [17], paper Sec. IV-A):
-
-* separate read and write queues holding burst-sized packets;
-* FR-FCFS scheduling (first ready — i.e. row hit — first come first
-  served) over the active queue;
-* an open-adaptive page policy: after a column access the row stays
-  open only if another queued burst targets the same row of that bank,
-  otherwise it is precharged;
-* write-drain mode: writes are buffered until the write queue reaches
-  the high watermark (85%), then drained down to the low watermark
-  (50%) — or serviced opportunistically when no reads are pending;
-* read/write bus turnaround penalties.
-
-The model is event-driven rather than cycle-ticked: each controller
-tracks when its data bus and banks become free and issues one burst per
-scheduling decision. That preserves every metric the paper reports
-(row hits, queue occupancies, turnarounds, per-bank counts, latency)
-at a fraction of the cost of a cycle-accurate loop.
+The FR-FCFS scheduler, its queues and bank state live in
+:class:`~repro.dram.batched.MemoryEngine` (see that module for the
+controller semantics). :class:`MemoryController` exposes one channel of
+an engine — its statistics, queue occupancy and ChargeCache — and lets
+callers queue bursts and run the scheduler on that channel directly.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, Optional, Tuple
+from typing import Optional
 
-from .. import obs
 from .address_map import Burst
+from .batched import MemoryEngine
+from .chargecache import ChargeCache
 from .config import MemoryConfig
 from .stats import ControllerStats
 
-# A completion callback receives (request_id, completion_time, is_read).
-CompletionCallback = Callable[[int, int, bool], None]
 
-
-class _BankState:
-    __slots__ = ("open_row", "ready_at")
-
-    def __init__(self) -> None:
-        self.open_row: Optional[int] = None
-        self.ready_at = 0  # earliest time the next column access may start
-
-
-class _BurstQueue:
-    """FCFS burst queue with a per-(bank, row) index for FR-FCFS.
-
-    Bursts must be enqueued in nondecreasing ``arrival_time`` order (the
-    memory system accepts requests in time order), so the FIFO-oldest
-    entry is also the earliest arrival — making the earliest-arrival
-    lookup O(1) instead of a ``min()`` scan per scheduling decision.
-
-    ``_entries`` maps a monotonically increasing sequence number to the
-    queued burst (dict order == FIFO order; entries are only ever
-    deleted, never reordered). ``_by_row`` maps (bank_id, row) to the
-    sequence numbers of queued bursts targeting that row, so row-hit
-    searches touch only the banks that currently hold an open row
-    instead of scanning the whole queue. Because FR-FCFS only ever pops
-    either a row-index head or the FIFO-oldest entry, popped sequence
-    numbers are cleaned from their row deque eagerly and the index never
-    accumulates stale entries beyond the live queue.
-    """
-
-    __slots__ = ("_entries", "_by_row", "_next_seq", "_last_arrival")
-
-    def __init__(self) -> None:
-        self._entries: Dict[int, Burst] = {}
-        self._by_row: Dict[Tuple[int, int], Deque[int]] = {}
-        self._next_seq = 0
-        self._last_arrival = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[Burst]:
-        return iter(self._entries.values())
-
-    def append(self, burst: Burst) -> None:
-        arrival = burst.arrival_time
-        if arrival < self._last_arrival:
-            raise ValueError(
-                f"bursts must be enqueued in arrival order "
-                f"({arrival} < {self._last_arrival})"
-            )
-        self._last_arrival = arrival
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self._entries[seq] = burst
-        key = (burst.bank_id, burst.coordinates.row)
-        row_queue = self._by_row.get(key)
-        if row_queue is None:
-            self._by_row[key] = deque((seq,))
-        else:
-            row_queue.append(seq)
-
-    def oldest_seq(self) -> Optional[int]:
-        """Sequence number of the FIFO-oldest queued burst."""
-        if not self._entries:
-            return None
-        return next(iter(self._entries))
-
-    def earliest_arrival(self) -> int:
-        """Arrival time of the oldest queued burst (queue must be non-empty)."""
-        return self._entries[next(iter(self._entries))].arrival_time
-
-    def burst(self, seq: int) -> Burst:
-        return self._entries[seq]
-
-    def first_for_row(self, bank_id: int, row: int) -> Optional[int]:
-        """Sequence number of the oldest queued burst hitting (bank, row)."""
-        key = (bank_id, row)
-        row_queue = self._by_row.get(key)
-        if row_queue is None:
-            return None
-        entries = self._entries
-        while row_queue and row_queue[0] not in entries:
-            row_queue.popleft()
-        if not row_queue:
-            del self._by_row[key]
-            return None
-        return row_queue[0]
-
-    def has_row(self, bank_id: int, row: int) -> bool:
-        return self.first_for_row(bank_id, row) is not None
-
-    def pop(self, seq: int) -> Burst:
-        burst = self._entries.pop(seq)
-        key = (burst.bank_id, burst.coordinates.row)
-        row_queue = self._by_row.get(key)
-        if row_queue is not None:
-            entries = self._entries
-            while row_queue and row_queue[0] not in entries:
-                row_queue.popleft()
-            if not row_queue:
-                del self._by_row[key]
-        return burst
-
-
-@dataclass
 class MemoryController:
-    """One channel's memory controller."""
+    """Channel ``channel`` of ``engine`` (a private engine if omitted)."""
 
-    config: MemoryConfig
-    channel: int
-    on_completion: Optional[CompletionCallback] = None
+    __slots__ = ("engine", "channel", "_state")
 
-    stats: ControllerStats = field(default_factory=ControllerStats)
+    def __init__(
+        self,
+        config: MemoryConfig,
+        channel: int,
+        engine: Optional[MemoryEngine] = None,
+    ) -> None:
+        self.engine = engine if engine is not None else MemoryEngine(config)
+        self.channel = channel
+        self._state = self.engine.channels[channel]
 
-    def __post_init__(self) -> None:
-        from .chargecache import ChargeCache
+    @property
+    def config(self) -> MemoryConfig:
+        return self.engine.config
 
-        self._read_queue = _BurstQueue()
-        self._write_queue = _BurstQueue()
-        self._banks: Dict[int, _BankState] = {}
-        self._bus_free_at = 0
-        self._last_was_write: Optional[bool] = None
-        self._draining_writes = False
-        self._reads_since_turnaround = 0
-        self.charge_cache = (
-            ChargeCache(self.config.charge_cache)
-            if self.config.charge_cache is not None
-            else None
-        )
-        timing = self.config.timing
-        self._next_refresh_at: Optional[int] = timing.t_refi or None
-        # Observability: capture the active registry once; all hot-path
-        # sites reduce to one `is None` test when observability is off.
-        registry = obs.active()
-        self._obs = registry
-        if registry is not None:
-            prefix = f"dram.ch{self.channel}"
-            self._obs_enqueued = registry.counter("dram.enqueued")
-            self._obs_issued = registry.counter("dram.issued")
-            self._obs_row_hits = registry.counter("dram.row_hits")
-            self._obs_read_depth = registry.histogram(f"{prefix}.read_queue_depth")
-            self._obs_write_depth = registry.histogram(f"{prefix}.write_queue_depth")
+    @property
+    def stats(self) -> ControllerStats:
+        return self._state.stats
+
+    @property
+    def charge_cache(self) -> Optional[ChargeCache]:
+        return self._state.charge_cache
 
     # -- queue interface -------------------------------------------------------
 
     @property
     def read_queue_length(self) -> int:
-        return len(self._read_queue)
+        return len(self._state.reads)
 
     @property
     def write_queue_length(self) -> int:
-        return len(self._write_queue)
+        return len(self._state.writes)
 
     @property
     def pending(self) -> int:
-        return len(self._read_queue) + len(self._write_queue)
+        return self._state.pending
 
     def queue_full(self, is_read: bool) -> bool:
         if is_read:
-            return len(self._read_queue) >= self.config.read_queue_size
-        return len(self._write_queue) >= self.config.write_queue_size
+            return len(self._state.reads) >= self.config.read_queue_size
+        return len(self._state.writes) >= self.config.write_queue_size
 
     def enqueue(self, burst: Burst) -> None:
-        """Add an arriving burst, recording the queue length it observes."""
+        """Add an arriving burst, recording the queue length it observes.
+
+        Bursts must arrive in nondecreasing time order per queue, and the
+        queue must have room (call :meth:`service` first).
+        """
         if self.queue_full(burst.is_read):
             raise RuntimeError("enqueue on a full queue; call service first")
-        if burst.is_read:
-            self.stats.read_queue_len_seen[len(self._read_queue)] += 1
-            self._read_queue.append(burst)
-        else:
-            self.stats.write_queue_len_seen[len(self._write_queue)] += 1
-            self._write_queue.append(burst)
-        registry = self._obs
-        if registry is not None:
-            self._obs_enqueued.inc()
-            if burst.is_read:
-                self._obs_read_depth.observe(len(self._read_queue))
-            else:
-                self._obs_write_depth.observe(len(self._write_queue))
-            if registry.sink is not None:
-                registry.event(
-                    "dram.enqueue",
-                    channel=self.channel,
-                    bank=burst.bank_id,
-                    row=burst.coordinates.row,
-                    is_read=burst.is_read,
-                    arrival=burst.arrival_time,
-                    read_queue=len(self._read_queue),
-                    write_queue=len(self._write_queue),
+        queue = self._state.reads if burst.is_read else self._state.writes
+        if queue:
+            latest = next(reversed(queue.values()))[0]
+            if burst.arrival_time < latest:
+                raise ValueError(
+                    f"bursts must be enqueued in arrival order "
+                    f"({burst.arrival_time} < {latest})"
                 )
-
-    # -- scheduling ------------------------------------------------------------
-
-    def _bank(self, burst: Burst) -> _BankState:
-        bank = self._banks.get(burst.bank_id)
-        if bank is None:
-            self._banks[burst.bank_id] = bank = _BankState()
-        return bank
-
-    def _choose_direction(self) -> Optional[bool]:
-        """Pick the queue to service next; returns is_write or None if idle."""
-        if self._draining_writes:
-            drained_enough = len(self._write_queue) <= self.config.write_low_watermark
-            if not self._write_queue or (drained_enough and self._read_queue):
-                self._draining_writes = False
-            else:
-                return True
-        if len(self._write_queue) >= self.config.write_high_watermark:
-            # High watermark reached: switch to writes even if reads wait.
-            self._start_write_drain()
-            return True
-        if self._read_queue:
-            return False
-        if self._write_queue:
-            # No reads pending: drain writes opportunistically.
-            self._start_write_drain()
-            return True
-        return None
-
-    def _start_write_drain(self) -> None:
-        if not self._draining_writes:
-            self._draining_writes = True
-            self.stats.reads_per_turnaround.append(self._reads_since_turnaround)
-            self._reads_since_turnaround = 0
-
-    def _pick_burst(self, queue: _BurstQueue, decision_time: int) -> Optional[int]:
-        """FR-FCFS: first arrived row-hit, else the oldest arrived burst.
-
-        Returns the chosen burst's queue sequence number. Instead of
-        scanning the queue, the row-hit search consults the queue's
-        (bank, row) index for each bank that holds an open row — at most
-        one candidate per bank. Because bursts arrive in FIFO order, the
-        earliest row-hit candidate being un-arrived means every row-hit
-        is un-arrived, and the FIFO-oldest entry is the oldest arrival.
-        """
-        best: Optional[int] = None
-        for bank_id, bank in self._banks.items():
-            if bank.open_row is None:
-                continue
-            seq = queue.first_for_row(bank_id, bank.open_row)
-            if seq is not None and (best is None or seq < best):
-                best = seq
-        if best is not None and queue.burst(best).arrival_time <= decision_time:
-            return best
-        oldest = queue.oldest_seq()
-        if oldest is not None and queue.burst(oldest).arrival_time <= decision_time:
-            return oldest
-        return None
-
-    def _next_decision_time(self, queue: _BurstQueue) -> int:
-        return max(self._bus_free_at, queue.earliest_arrival())
-
-    def _apply_refresh(self, decision_time: int) -> int:
-        """Stall for any refresh windows that expire before ``decision_time``."""
-        timing = self.config.timing
-        while self._next_refresh_at is not None and decision_time >= self._next_refresh_at:
-            refresh_end = self._next_refresh_at + timing.t_rfc
-            for bank in self._banks.values():
-                bank.open_row = None  # refresh closes every row
-                bank.ready_at = max(bank.ready_at, refresh_end)
-            self._bus_free_at = max(self._bus_free_at, refresh_end)
-            decision_time = max(decision_time, refresh_end)
-            self._next_refresh_at += timing.t_refi
-            self.stats.refreshes += 1
-        return decision_time
-
-    def _issue(self, queue: _BurstQueue, seq: int, decision_time: int) -> int:
-        """Issue one burst; returns the time the data transfer finishes."""
-        timing = self.config.timing
-        decision_time = self._apply_refresh(decision_time)
-        burst = queue.pop(seq)
-        bank = self._bank(burst)
-        row = burst.coordinates.row
-        row_hit = bank.open_row == row
-
-        start = max(decision_time, bank.ready_at)
-        if self._last_was_write is not None and self._last_was_write != (not burst.is_read):
-            penalty = timing.t_wtr if self._last_was_write else timing.t_rtw
-            start = max(start, self._bus_free_at + penalty)
-        if not row_hit:
-            if bank.open_row is not None:
-                start += timing.t_rp
-                self._record_row_close(burst.bank_id, bank.open_row, start)
-            activation = timing.t_rcd
-            if self.charge_cache is not None and self.charge_cache.lookup(
-                burst.bank_id, row, start
-            ):
-                # Recently-closed row still holds charge: faster activate.
-                activation = max(0, activation - self.charge_cache.activation_saving)
-            start += activation
-
-        finish = start + timing.t_burst
-        self._bus_free_at = finish
-        self._last_was_write = not burst.is_read
-        bank.open_row = row
-        bank.ready_at = finish
-
-        # Open-adaptive page policy: keep the row open only when another
-        # queued burst will hit it; otherwise precharge right away.
-        if self.config.page_policy == "open_adaptive" and not self._has_pending_row_hit(
-            burst.bank_id, row
-        ):
-            bank.open_row = None
-            bank.ready_at = finish + timing.t_rp
-            self._record_row_close(burst.bank_id, row, finish + timing.t_rp)
-
-        completion = finish + (timing.t_cl if burst.is_read else 0)
-        self._record_issue(burst, row_hit)
-        if self.on_completion is not None:
-            self.on_completion(burst.request_id, completion, burst.is_read)
-        return finish
-
-    def _record_row_close(self, bank_id: int, row: int, now: int) -> None:
-        if self.charge_cache is not None:
-            self.charge_cache.insert(bank_id, row, now)
-
-    def _has_pending_row_hit(self, bank_id: int, row: int) -> bool:
-        return self._read_queue.has_row(bank_id, row) or self._write_queue.has_row(
-            bank_id, row
+        # A burst queued directly completes as part of its request id,
+        # whose latency runs from the first such burst's arrival.
+        entry = self.engine.outstanding.setdefault(
+            burst.request_id, [0, burst.arrival_time, 0]
         )
-
-    def _record_issue(self, burst: Burst, row_hit: bool) -> None:
-        stats = self.stats
-        timing = self.config.timing
-        if stats.first_issue_time < 0:
-            stats.first_issue_time = self._bus_free_at - timing.t_burst
-        stats.last_finish_time = self._bus_free_at
-        stats.data_bus_busy_cycles += timing.t_burst
-        bank_id = burst.bank_id
-        if burst.is_read:
-            stats.read_bursts += 1
-            stats.read_row_hits += row_hit
-            stats.per_bank_reads[bank_id] += 1
-            self._reads_since_turnaround += 1
-        else:
-            stats.write_bursts += 1
-            stats.write_row_hits += row_hit
-            stats.per_bank_writes[bank_id] += 1
-        registry = self._obs
-        if registry is not None:
-            self._obs_issued.inc()
-            if row_hit:
-                self._obs_row_hits.inc()
-            if registry.sink is not None:
-                registry.event(
-                    "dram.issue",
-                    channel=self.channel,
-                    bank=bank_id,
-                    is_read=burst.is_read,
-                    row_hit=bool(row_hit),
-                    finish=self._bus_free_at,
-                )
+        entry[0] += 1
+        self.engine.enqueue(
+            self.channel,
+            not burst.is_read,
+            burst.bank_id,
+            burst.coordinates.row,
+            burst.arrival_time,
+            burst.request_id,
+        )
 
     # -- driving ---------------------------------------------------------------
 
-    def service_until(self, time_limit: int) -> None:
-        """Issue every burst whose scheduling decision falls before ``time_limit``."""
-        while self.pending:
-            direction = self._choose_direction()
-            if direction is None:
-                return
-            queue = self._write_queue if direction else self._read_queue
-            decision_time = self._next_decision_time(queue)
-            if decision_time >= time_limit:
-                return
-            seq = self._pick_burst(queue, decision_time)
-            if seq is None:
-                # Nothing in the active queue has arrived yet; re-evaluate at
-                # the earliest arrival (handled by decision_time), so this
-                # only happens when time_limit cuts in between.
-                return
-            self._issue(queue, seq, decision_time)
+    def service(self, limit: Optional[int] = None) -> int:
+        """Run the scheduler: see :meth:`MemoryEngine.service`.
 
-    def service_one(self) -> int:
-        """Issue exactly one burst regardless of time (backpressure relief).
-
-        Returns the time the issued burst's data transfer finishes.
+        ``limit=None`` issues exactly one burst and returns the time its
+        data transfer finishes.
         """
-        direction = self._choose_direction()
-        if direction is None:
-            raise RuntimeError("service_one called with empty queues")
-        queue = self._write_queue if direction else self._read_queue
-        decision_time = self._next_decision_time(queue)
-        seq = self._pick_burst(queue, decision_time)
-        assert seq is not None  # decision_time >= some arrival by construction
-        return self._issue(queue, seq, decision_time)
+        if limit is None and not self.pending:
+            raise RuntimeError("service(None) needs a queued burst")
+        return self.engine.service(self.channel, limit)
 
     def drain(self) -> None:
         """Service everything that is still queued."""
-        registry = self._obs
-        if registry is not None and registry.sink is not None and self.pending:
-            registry.event("dram.drain", channel=self.channel, pending=self.pending)
-        while self.pending:
-            self.service_one()
+        self.engine.drain((self.channel,))

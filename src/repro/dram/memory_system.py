@@ -6,47 +6,54 @@ the average memory access latency (paper Fig. 13) can be reported.
 Backpressure — a full read or write queue — delays acceptance; the
 accumulated delay is reported back to the caller so coupled synthesis
 (paper Sec. III-C, "Simulator Feedback") can shift its timestamps.
+
+All state lives in one :class:`~repro.dram.batched.MemoryEngine`;
+:class:`MemorySystem` is the request-level view of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..core.request import MemoryRequest
-from .address_map import AddressMap
+from ..core.request import MemoryRequest, Operation
+from .batched import CompletionHook, MemoryEngine
 from .config import MemoryConfig
 from .controller import MemoryController
-from .stats import ControllerStats, MemorySystemStats
+from .stats import ControllerStats
 
 
 class MemorySystem:
     """The paper's Table III memory system: N channels behind one port."""
 
     def __init__(self, config: Optional[MemoryConfig] = None):
-        self.config = config if config is not None else MemoryConfig()
-        self.address_map = AddressMap(self.config)
+        self.engine = MemoryEngine(config)
+        self.config = self.engine.config
+        self.address_map = self.engine.address_map
+        self.stats = self.engine.stats
         self.controllers: List[MemoryController] = [
-            MemoryController(self.config, channel, on_completion=self._complete_burst)
+            MemoryController(self.config, channel, self.engine)
             for channel in range(self.config.num_channels)
         ]
-        self.stats = MemorySystemStats(
-            channels=[controller.stats for controller in self.controllers]
-        )
-        self._next_request_id = 0
-        self._outstanding: Dict[int, List[int]] = {}  # id -> [remaining, submit, last_done]
-        self._last_presented_time = 0
-        self._last_submit_time = 0
-        self.last_request_id: Optional[int] = None
-        # Optional hook invoked as (request_id, latency) when a request's
-        # final burst completes; used for per-device attribution.
-        self.on_request_complete = None
+
+    @property
+    def on_request_complete(self) -> Optional[CompletionHook]:
+        """Hook invoked as ``(request_id, latency)`` when a request's
+        final burst completes; used for per-device attribution."""
+        return self.engine.on_request_complete
+
+    @on_request_complete.setter
+    def on_request_complete(self, hook: Optional[CompletionHook]) -> None:
+        self.engine.on_request_complete = hook
+
+    @property
+    def last_request_id(self) -> Optional[int]:
+        """Id of the most recently submitted request (``None`` if none)."""
+        return self.engine.last_request_id
 
     @property
     def last_accept_time(self) -> int:
         """Time the most recent request was accepted (0 if none)."""
-        return self._last_submit_time
-
-    # -- submission --------------------------------------------------------------
+        return self.engine.last_submit
 
     def submit(
         self,
@@ -63,60 +70,17 @@ class MemorySystem:
         interconnect latency) and is used for latency accounting.
         """
         presented = request.timestamp if at_time is None else at_time
-        if presented < self._last_presented_time:
-            raise ValueError(
-                f"requests must be submitted in time order "
-                f"({presented} < {self._last_presented_time})"
-            )
-        self._last_presented_time = presented
-        # The port is in-order: nothing can be presented to the memory
-        # before the previous request was accepted (backpressure).
-        time = max(presented, self._last_submit_time)
-
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        self.last_request_id = request_id
-        bursts = self.address_map.split_request(request, request_id)
-        # Latency is measured from the device's injection time, so both
-        # interconnect traversal and backpressure waiting show up in the
-        # average access latency.
-        origin = presented if injected_at is None else injected_at
-        self._outstanding[request_id] = [len(bursts), origin, 0]
-
-        accept_time = time
-        for burst in bursts:
-            controller = self.controllers[burst.coordinates.channel]
-            controller.service_until(accept_time)
-            while controller.queue_full(burst.is_read):
-                freed_at = controller.service_one()
-                accept_time = max(accept_time, freed_at)
-            burst.arrival_time = accept_time
-            controller.enqueue(burst)
-        delay = accept_time - presented
-        self.stats.backpressure_delay += delay
-        self._last_submit_time = accept_time
-        return accept_time
-
-    def _complete_burst(self, request_id: int, completion_time: int, is_read: bool) -> None:
-        entry = self._outstanding.get(request_id)
-        if entry is None:  # pragma: no cover - defensive
-            return
-        entry[0] -= 1
-        entry[2] = max(entry[2], completion_time)
-        if entry[0] == 0:
-            latency = entry[2] - entry[1]
-            self.stats.latency_sum += latency
-            self.stats.latency_count += 1
-            del self._outstanding[request_id]
-            if self.on_request_complete is not None:
-                self.on_request_complete(request_id, latency)
+        return self.engine.submit(
+            presented,
+            request.address,
+            request.size,
+            request.operation is not Operation.READ,
+            presented if injected_at is None else injected_at,
+        )
 
     def drain(self) -> None:
         """Service every queued burst (call once after the last submit)."""
-        for controller in self.controllers:
-            controller.drain()
-
-    # -- convenience ----------------------------------------------------------------
+        self.engine.drain()
 
     def channel_stats(self, channel: int) -> ControllerStats:
         return self.controllers[channel].stats

@@ -63,10 +63,9 @@ class JobValidationError(ValueError):
 class DramJob:
     """One baseline/McC(/STM) DRAM simulation trio (Figs. 6-13).
 
-    The executor replays through the backend-dispatched driver
-    (:mod:`repro.sim.driver`), so pool workers — which inherit
-    ``MOCKTAILS_BACKEND`` from the parent's environment — use the
-    batched memory-system engine exactly when the parent would.
+    The executor replays through :mod:`repro.sim.driver`; pool workers
+    inherit ``MOCKTAILS_BACKEND`` from the parent's environment, so they
+    build profiles on the same backend the parent would.
     """
 
     name: str

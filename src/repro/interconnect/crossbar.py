@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .. import obs
-from ..core.request import MemoryRequest
+from ..core.request import MemoryRequest, Operation
 from ..dram.memory_system import MemorySystem
 
 
@@ -51,39 +51,37 @@ class Crossbar:
         the memory controller. Zero means the request was accepted
         ``latency`` cycles after injection, as fast as possible.
         """
-        forward_time = request.timestamp + self.config.latency
+        timestamp = request.timestamp
+        forward_time = timestamp + self.config.latency
         if self._last_forward_time is not None:
             # The port is in-order: a request cannot be forwarded before
             # the previous one was *accepted* (backpressure propagates).
             forward_time = max(forward_time, self._last_forward_time + self.config.min_gap)
-        accept_time = self.memory.submit(
-            request, at_time=forward_time, injected_at=request.timestamp
+        accept_time = self.memory.engine.submit(
+            forward_time,
+            request.address,
+            request.size,
+            request.operation is not Operation.READ,
+            timestamp,
         )
         self._last_forward_time = accept_time
 
-        delay = accept_time - (request.timestamp + self.config.latency)
+        delay = accept_time - (timestamp + self.config.latency)
         self.total_delay += delay
-        registry = self._obs
-        if registry is not None:
-            registry.counter("crossbar.forwarded").inc()
-            registry.histogram("crossbar.delay_cycles").observe(delay)
-            if delay > 0:
-                registry.counter("crossbar.stalls").inc()
-                registry.counter("crossbar.stall_cycles").inc(delay)
+        if self._obs is not None:
+            self._observe(delay)
         return delay
 
-    def send_many(self, requests) -> int:
-        """Forward a batch of time-ordered requests; returns summed delay.
+    def feed(self, block) -> None:
+        """Forward a time-ordered :class:`~repro.core.columnar.ColumnarTrace`
+        block: the same result as :meth:`send` per request, in one
+        inlined engine loop (:meth:`repro.dram.batched.MemoryEngine.feed`)."""
+        self.memory.engine.feed(block, self)
 
-        The batch port of the scalar path: accepts any iterable of
-        :class:`MemoryRequest` (including ``ColumnarTrace.iter_requests()``
-        output) and forwards each in order. The vectorized batch engine
-        (:class:`repro.dram.batched.BatchedReplay`) owns its crossbar
-        directly and bypasses this loop; ``send_many`` is what block
-        consumers call when that engine cannot engage.
-        """
-        send = self.send
-        total = 0
-        for request in requests:
-            total += send(request)
-        return total
+    def _observe(self, delay: int) -> None:
+        registry = self._obs
+        registry.counter("crossbar.forwarded").inc()
+        registry.histogram("crossbar.delay_cycles").observe(delay)
+        if delay > 0:
+            registry.counter("crossbar.stalls").inc()
+            registry.counter("crossbar.stall_cycles").inc(delay)

@@ -87,42 +87,6 @@ class Histogram:
             if self.max is None or value > self.max:
                 self.max = value
 
-    def observe_many(self, value: float, count: int) -> None:
-        """Record ``count`` observations of the same ``value`` at once.
-
-        The batched replay engine's bulk twin of calling
-        :meth:`observe` in a loop: identical resulting summary, one
-        critical section.
-        """
-        if count <= 0:
-            return
-        with self._lock:
-            self.count += count
-            self.total += value * count
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
-
-    def observe_summary(
-        self, count: int, total: float, minimum: float, maximum: float
-    ) -> None:
-        """Merge a precomputed summary of ``count`` observations.
-
-        Equivalent to observing each underlying sample individually as
-        long as the caller's (count, total, min, max) are exact — which
-        integer-valued columns below 2**53 guarantee.
-        """
-        if count <= 0:
-            return
-        with self._lock:
-            self.count += count
-            self.total += total
-            if self.min is None or minimum < self.min:
-                self.min = minimum
-            if self.max is None or maximum > self.max:
-                self.max = maximum
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -11,16 +11,17 @@ feeding main memory through a crossbar. Three entry points:
 * :func:`simulate_synthetic` — Option A: profile -> streamed synthetic
   requests -> replay, without materializing the trace.
 
-Two equivalent replay engines sit behind the open-loop entry points,
-mirroring :mod:`repro.sim.cache_driver`: the scalar crossbar + memory
-event loop and the batched :class:`~repro.dram.batched.BatchedReplay`
-(columnar blocks, vectorized quiescent epochs). Both produce
-field-identical :class:`~repro.dram.stats.MemorySystemStats`; the
-resolved backend (see :mod:`repro.core.columnar`) picks the engine.
-The batched engine handles only the open-loop shape — Option B
-feedback synthesis, sanitize mode, ChargeCache, refresh and non-default
-page policies always take the scalar path
-(:func:`repro.dram.batched.batched_replay_supported` is the gate).
+All of them drive one memory-system engine
+(:class:`~repro.dram.batched.MemoryEngine`, behind
+:class:`~repro.dram.memory_system.MemorySystem` and
+:class:`~repro.interconnect.crossbar.Crossbar`). Open-loop replay hands
+it column blocks (``Crossbar.feed``); Option B hands it one request at
+a time (``Crossbar.send``), because each request's timestamp depends on
+the backpressure the previous one observed. Both reach the same FR-FCFS
+``service`` routine, so the entry point never changes a statistic.
+Every configuration — refresh, ChargeCache, either page policy, event
+sinks, sanitize mode, with or without numpy — runs the same engine;
+sanitize mode only wraps the input stream in an invariant checker.
 
 Replay wall time is attributed to ``replay.crossbar`` (injection) and
 ``replay.dram`` (final drain) phase timers when observability is on;
@@ -31,23 +32,23 @@ from __future__ import annotations
 
 import random
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .. import obs
-from ..core.columnar import ColumnarTrace, resolve_backend
+from ..core.columnar import ColumnarTrace
 from ..core.profile import Profile
 from ..core.request import MemoryRequest
 from ..core.synthesis import FeedbackSynthesizer, synthesize_stream
-from ..core.trace import Trace
-from ..dram.batched import BatchedReplay, batched_replay_supported
 from ..dram.config import MemoryConfig
 from ..dram.memory_system import MemorySystem
 from ..dram.stats import MemorySystemStats
 from ..interconnect.crossbar import Crossbar, CrossbarConfig
 from ..lint import sanitize as _sanitize
 
-#: Requests per column block when batching a lazy request stream.
-_BATCH_CHUNK = 8192
+#: Requests per column block when batching a lazy request stream. Small
+#: blocks keep the decoded burst columns (the engine's only per-block
+#: memory) from adding to peak RSS; the per-block numpy overhead is noise.
+_BATCH_CHUNK = 1024
 
 
 def _checker(sanitize: Optional[bool], label: str):
@@ -65,60 +66,37 @@ def _checker(sanitize: Optional[bool], label: str):
     return checker if checker is not None else _sanitize.TraceInvariantChecker(label=label)
 
 
-def _sanitizing(sanitize: Optional[bool]) -> bool:
-    return sanitize is True or (sanitize is None and _sanitize.active())
+def _feed_lazy(crossbar: Crossbar, requests: Iterable[MemoryRequest]) -> None:
+    """Feed a lazy request stream to the engine, chunk by chunk.
 
-
-def _use_batched(
-    backend: Optional[str],
-    sanitize: Optional[bool],
-    config: Optional[MemoryConfig],
-    crossbar_config: Optional[CrossbarConfig],
-) -> bool:
-    return (
-        resolve_backend(backend) == "columnar"
-        and not _sanitizing(sanitize)
-        and batched_replay_supported(config, crossbar_config)
-    )
-
-
-def _feed_lazy(engine: BatchedReplay, requests: Iterable[MemoryRequest]) -> None:
-    """Feed a lazy request stream to the batch engine, chunk by chunk.
-
-    One chunk of lookahead marks the final block so the engine can
-    certify the tail; a chunk whose values do not fit the column store
-    (columns are bounded, request objects are not) is sent scalar.
+    A chunk whose values do not fit the column store (columns are
+    bounded, request objects are not) is sent one request at a time.
     """
     iterator = iter(requests)
     chunk = list(islice(iterator, _BATCH_CHUNK))
     while chunk:
-        upcoming = list(islice(iterator, _BATCH_CHUNK))
         try:
             block = ColumnarTrace.from_trace(chunk)
         except (ValueError, OverflowError):
-            block = None
-        if block is not None:
-            engine.feed(block, final=not upcoming)
-        else:
-            send = engine.crossbar.send
             for request in chunk:
-                send(request)
-        chunk = upcoming
+                crossbar.send(request)
+        else:
+            crossbar.feed(block)
+        chunk = list(islice(iterator, _BATCH_CHUNK))
 
 
-def _replay_batched(
-    source: Union[ColumnarTrace, Iterable[MemoryRequest]],
+def _replay(
+    drive: Callable[[Crossbar], None],
     config: Optional[MemoryConfig],
     crossbar_config: Optional[CrossbarConfig],
 ) -> MemorySystemStats:
-    engine = BatchedReplay(config, crossbar_config)
+    memory = MemorySystem(config)
+    crossbar = Crossbar(memory, crossbar_config)
     with obs.phase("replay.crossbar"):
-        if isinstance(source, ColumnarTrace):
-            engine.feed(source, final=True)
-        else:
-            _feed_lazy(engine, source)
+        drive(crossbar)
     with obs.phase("replay.dram"):
-        return engine.finish()
+        memory.drain()
+    return memory.stats
 
 
 def simulate_trace(
@@ -126,7 +104,6 @@ def simulate_trace(
     config: Optional[MemoryConfig] = None,
     crossbar_config: Optional[CrossbarConfig] = None,
     sanitize: Optional[bool] = None,
-    backend: Optional[str] = None,
 ) -> MemorySystemStats:
     """Replay a time-ordered request stream through crossbar + memory.
 
@@ -140,24 +117,14 @@ def simulate_trace(
     the trace invariants — monotonic timestamps, legal addresses and
     operations — raising
     :class:`~repro.lint.sanitize.InvariantViolation` on the first break.
-
-    ``backend`` overrides the process-wide selection; the scalar and
-    batched engines return identical statistics.
     """
-    if _use_batched(backend, sanitize, config, crossbar_config):
-        return _replay_batched(trace, config, crossbar_config)
-    if isinstance(trace, ColumnarTrace):
-        trace = trace.iter_requests()
     checker = _checker(sanitize, "simulate_trace")
     if checker is not None:
-        trace = checker.watch(trace)
-    memory = MemorySystem(config)
-    crossbar = Crossbar(memory, crossbar_config)
-    with obs.phase("replay.crossbar"):
-        crossbar.send_many(trace)
-    with obs.phase("replay.dram"):
-        memory.drain()
-    return memory.stats
+        requests = trace.iter_requests() if isinstance(trace, ColumnarTrace) else trace
+        trace = checker.watch(requests)
+    if isinstance(trace, ColumnarTrace):
+        return _replay(lambda crossbar: crossbar.feed(trace), config, crossbar_config)
+    return _replay(lambda crossbar: _feed_lazy(crossbar, trace), config, crossbar_config)
 
 
 def simulate_blocks(
@@ -165,36 +132,27 @@ def simulate_blocks(
     config: Optional[MemoryConfig] = None,
     crossbar_config: Optional[CrossbarConfig] = None,
     sanitize: Optional[bool] = None,
-    backend: Optional[str] = None,
 ) -> MemorySystemStats:
     """Replay a stream of column blocks through crossbar + memory.
 
     The out-of-core twin of :func:`simulate_trace`: blocks (e.g. from
     :func:`repro.stream.iter_blocks`) are consumed one block at a time,
-    so peak memory is O(block) regardless of trace length. On the
-    columnar backend the blocks route straight into the batch engine
-    without ever materializing per-request objects; the scalar fallback
-    expands them lazily. Statistics equal :func:`simulate_trace` over
-    the concatenated blocks.
+    so peak memory is O(block) regardless of trace length, and never
+    expand into per-request objects. Statistics equal
+    :func:`simulate_trace` over the concatenated blocks.
     """
-    if _use_batched(backend, sanitize, config, crossbar_config):
-        engine = BatchedReplay(config, crossbar_config)
-        with obs.phase("replay.crossbar"):
-            iterator: Iterator[ColumnarTrace] = iter(blocks)
-            block = next(iterator, None)
-            while block is not None:
-                upcoming = next(iterator, None)
-                engine.feed(block, final=upcoming is None)
-                block = upcoming
-        with obs.phase("replay.dram"):
-            return engine.finish()
-    return simulate_trace(
-        (request for block in blocks for request in block.iter_requests()),
-        config,
-        crossbar_config,
-        sanitize=sanitize,
-        backend="scalar",
-    )
+    checker = _checker(sanitize, "simulate_blocks")
+    if checker is not None:
+        requests = checker.watch(
+            request for block in blocks for request in block.iter_requests()
+        )
+        return _replay(lambda crossbar: _feed_lazy(crossbar, requests), config, crossbar_config)
+
+    def drive(crossbar: Crossbar) -> None:
+        for block in blocks:
+            crossbar.feed(block)
+
+    return _replay(drive, config, crossbar_config)
 
 
 def simulate_profile(
@@ -207,27 +165,26 @@ def simulate_profile(
 ) -> MemorySystemStats:
     """Coupled synthesis (Option B): backpressure feeds back into timing.
 
-    Always scalar: each request's timestamp depends on the delay the
-    previous one observed, so the stream cannot be batched ahead of the
-    simulator.
+    One request at a time: each request's timestamp depends on the delay
+    the previous one observed, so the stream cannot be batched ahead of
+    the simulator.
     """
-    memory = MemorySystem(config)
-    crossbar = Crossbar(memory, crossbar_config)
     synthesizer = FeedbackSynthesizer(profile, seed=seed, strict=strict)
     checker = _checker(sanitize, "simulate_profile")
-    with obs.phase("replay.crossbar"):
+
+    def drive(crossbar: Crossbar) -> None:
+        send = crossbar.send
         while True:
             request = synthesizer.next_request()
             if request is None:
                 break
             if checker is not None:
                 checker.check(request)
-            delay = crossbar.send(request)
+            delay = send(request)
             if delay > 0:
                 synthesizer.report_backpressure(delay)
-    with obs.phase("replay.dram"):
-        memory.drain()
-    return memory.stats
+
+    return _replay(drive, config, crossbar_config)
 
 
 def simulate_synthetic(
@@ -237,20 +194,17 @@ def simulate_synthetic(
     seed: Union[int, random.Random, None] = 0,
     strict: bool = True,
     sanitize: Optional[bool] = None,
-    backend: Optional[str] = None,
 ) -> MemorySystemStats:
     """Option A: synthesize and replay, streaming request by request.
 
     Equivalent to replaying :func:`~repro.core.synthesis.synthesize`'s
     trace, but the synthetic requests are fed straight from the
     priority-queue merge into the simulator without buffering the whole
-    stream in memory first (the batched engine consumes it in column
-    chunks).
+    stream in memory first (the engine consumes it in column chunks).
     """
     return simulate_trace(
         synthesize_stream(profile, seed=seed, strict=strict),
         config,
         crossbar_config,
         sanitize=sanitize,
-        backend=backend,
     )

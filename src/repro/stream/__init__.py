@@ -20,8 +20,8 @@ removes that cap end to end:
 Streaming replay lives next to the engines it drives:
 :func:`repro.sim.cache_driver.run_cache_blocks`,
 :func:`repro.sim.driver.simulate_blocks` (which feeds blocks straight
-into the batched memory-system engine, ``repro.dram.batched``, on the
-columnar backend — no per-request expansion), and
+into the memory-system engine, ``repro.dram.batched`` — no per-request
+expansion), and
 :func:`repro.core.synthesis.synthesize_to_file`.
 """
 

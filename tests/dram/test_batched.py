@@ -1,115 +1,86 @@
-"""Batched memory-system replay must be bit-identical to the scalar loop.
+"""Column-block replay through the memory engine must match the goldens.
 
-The contract under test (see ``repro/dram/batched.py``): for every
-workload and configuration where the fast path engages, the batched
-engine produces a :class:`~repro.dram.stats.MemorySystemStats` equal
-*field for field* — including every per-channel
-:class:`~repro.dram.stats.ControllerStats` — to the scalar
-crossbar + FR-FCFS event loop; where the fast path cannot engage, it
-falls back to scalar code and equality is trivial but still asserted.
+The goldens (``goldens.json``, see ``golden_cases.py``) were recorded
+with the original per-object scalar controller. Here every column-block
+entry point — ``Crossbar.feed``, ``simulate_trace`` on columns and on
+lazy streams, ``simulate_blocks``, ``simulate_synthetic`` — must
+reproduce them bit for bit, for every Table II workload and for the
+contended, refresh, ChargeCache, hook, observability and no-numpy
+configurations.
 """
 
-import dataclasses
 import json
 
 import pytest
 
 from repro import obs
 from repro.core.columnar import ColumnarTrace
-from repro.core.hierarchy import two_level_ts
-from repro.core.profiler import build_profile
-from repro.dram.batched import BatchedReplay, batched_replay_supported
+from repro.dram.batched import batched_replay_supported
 from repro.dram.config import ChargeCacheConfig, DRAMTiming, MemoryConfig
-from repro.interconnect.crossbar import CrossbarConfig
+from repro.dram.memory_system import MemorySystem
+from repro.interconnect.crossbar import Crossbar
 from repro.sim.driver import simulate_blocks, simulate_synthetic, simulate_trace
-from repro.workloads import TABLE_II_WORKLOADS, make_generator
+from repro.workloads import TABLE_II_WORKLOADS
 
-REQUESTS = 2_500
+from . import golden_cases as g
 
-
-def _assert_stats_equal(scalar, batched, label):
-    """Field-for-field equality with a per-field diagnostic on failure."""
-    for field in dataclasses.fields(scalar):
-        if field.name == "channels":
-            continue
-        assert getattr(batched, field.name) == getattr(scalar, field.name), (
-            f"{label}: top-level {field.name} differs"
-        )
-    assert len(batched.channels) == len(scalar.channels)
-    for index, (expected, actual) in enumerate(zip(scalar.channels, batched.channels)):
-        for field in dataclasses.fields(expected):
-            assert getattr(actual, field.name) == getattr(expected, field.name), (
-                f"{label}: channel {index} {field.name} differs"
-            )
-    assert batched == scalar, f"{label}: stats differ"
+GOLDENS = g.load_goldens()
 
 
-def _trace(name, num_requests=REQUESTS, seed=7):
-    return make_generator(name, seed=seed).generate(num_requests)
+def _assert_golden(payload, case):
+    assert g.digest(payload) == GOLDENS[case], f"{case}: differs from its golden"
+
+
+def _stats_payload(stats):
+    return {"stats": g.plain(stats)}
 
 
 class TestWorkloadSweep:
-    """Every Table II workload, default config: batched == scalar."""
+    """Every Table II workload, default config, one column trace."""
 
     @pytest.mark.parametrize("name", TABLE_II_WORKLOADS)
     def test_bit_identical(self, name):
-        trace = _trace(name)
-        scalar = simulate_trace(trace, backend="scalar")
-        batched = simulate_trace(
-            ColumnarTrace.from_trace(trace), backend="columnar"
-        )
-        _assert_stats_equal(scalar, batched, name)
+        stats = simulate_trace(ColumnarTrace.from_trace(g.trace(name)))
+        _assert_golden(_stats_payload(stats), f"table2/{name}/default")
 
 
-#: Configurations chosen to stress every regime: the default (mixed
-#: quiescent/contended), tiny queues (constant queue-full backpressure
-#: relief), watermark extremes, channel-count extremes, the plain
-#: ``open`` page policy (tier-1 scan ineligible) and a non-default
-#: crossbar. Refresh and ChargeCache configs gate the fast path off
-#: entirely and are covered separately below.
+#: Label -> golden case suffix: contended queues and watermarks, channel
+#: extremes, the plain ``open`` page policy and slow timing.
 CONFIG_VARIANTS = {
-    "default": MemoryConfig(),
-    "tiny-queues": MemoryConfig(read_queue_size=3, write_queue_size=4),
-    "tight-watermarks": MemoryConfig(
-        write_queue_size=8, write_high_threshold=0.5, write_low_threshold=0.25
-    ),
-    "one-channel": MemoryConfig(num_channels=1),
-    "eight-channels": MemoryConfig(num_channels=8),
-    "open-policy": MemoryConfig(page_policy="open"),
-    "slow-timing": MemoryConfig(
-        timing=DRAMTiming(t_rp=40, t_rcd=30, t_cl=25, t_burst=8)
-    ),
+    "default": "default",
+    "tiny-queues": "tiny",
+    "tight-watermarks": "tight-watermarks",
+    "one-channel": "one-channel",
+    "eight-channels": "eight-channels",
+    "open-policy": "open",
+    "slow-timing": "slow-timing",
 }
 
-#: A contended and an uncontended workload exercise both tiers.
-SWEEP_WORKLOADS = ("hevc1", "opencl1", "crypto1", "fbc-tiled1")
+
+def _variant(name, label):
+    suffix = CONFIG_VARIANTS[label]
+    if suffix in g.VARIANTS:
+        return f"table2/{name}/{suffix}", g.VARIANTS[suffix]
+    return f"sweep/{name}/{suffix}", g.SWEEP_VARIANTS[suffix]
 
 
 class TestConfigSweep:
     @pytest.mark.parametrize("label", sorted(CONFIG_VARIANTS))
-    @pytest.mark.parametrize("name", SWEEP_WORKLOADS)
+    @pytest.mark.parametrize("name", g.SWEEP_WORKLOADS)
     def test_bit_identical(self, name, label):
-        config = CONFIG_VARIANTS[label]
-        trace = _trace(name)
-        scalar = simulate_trace(trace, config, backend="scalar")
-        batched = simulate_trace(
-            ColumnarTrace.from_trace(trace), config, backend="columnar"
-        )
-        _assert_stats_equal(scalar, batched, f"{name}/{label}")
+        case, config = _variant(name, label)
+        memory = g.feed_all(g.trace(name), config)
+        _assert_golden(g.memory_payload(memory), case)
 
     def test_crossbar_variant(self):
-        crossbar = CrossbarConfig(latency=20, min_gap=4)
-        trace = _trace("trex1")
-        scalar = simulate_trace(trace, crossbar_config=crossbar, backend="scalar")
-        batched = simulate_trace(
-            ColumnarTrace.from_trace(trace), crossbar_config=crossbar,
-            backend="columnar",
+        stats = simulate_trace(
+            ColumnarTrace.from_trace(g.trace("trex1")), crossbar_config=g.CROSSBAR_VARIANT
         )
-        _assert_stats_equal(scalar, batched, "trex1/crossbar")
+        _assert_golden(_stats_payload(stats), "crossbar/trex1")
 
 
 class TestGatedConfigs:
-    """Configs the fast path must refuse — results still identical."""
+    """Configurations the old fast path refused now run the one engine."""
 
     @pytest.mark.parametrize(
         "label,config",
@@ -119,131 +90,112 @@ class TestGatedConfigs:
         ],
     )
     def test_gate_and_equality(self, label, config):
-        assert not batched_replay_supported(config)
-        trace = _trace("hevc2")
-        scalar = simulate_trace(trace, config, backend="scalar")
-        batched = simulate_trace(
-            ColumnarTrace.from_trace(trace), config, backend="columnar"
-        )
-        _assert_stats_equal(scalar, batched, label)
+        assert batched_replay_supported(config)
+        assert config == g.VARIANTS[label]
+        for name in ("hevc2", "multi-layer"):
+            memory = g.feed_all(g.trace(name), config)
+            _assert_golden(g.memory_payload(memory), f"table2/{name}/{label}")
 
     def test_default_config_supported(self):
-        from repro.core.columnar import numpy_or_none
-
-        if numpy_or_none() is None:
-            pytest.skip("fast path requires numpy")
         assert batched_replay_supported(MemoryConfig())
         assert batched_replay_supported(None)
 
-    def test_event_sink_gates_off(self, tmp_path):
-        obs.enable(obs.JsonlEventSink(str(tmp_path / "events.jsonl")))
+    def test_event_sink_gates_off(self):
+        """With an event sink the block path emits the send path's events."""
+        sink = obs.MemoryEventSink()
+        registry = obs.enable(sink)
         try:
-            assert not batched_replay_supported(MemoryConfig())
+            memory = g.feed_all(
+                g.trace("opencl1", g.REQUESTS // 4), g.SWEEP_VARIANTS["everything"]
+            )
+            snapshot = registry.snapshot()
         finally:
             obs.disable()
+        snapshot.pop("phases_seconds")
+        events = [{k: v for k, v in event.items() if k != "t"} for event in sink.events]
+        payload = {"stats": g.plain(memory.stats), "registry": snapshot, "events": events}
+        _assert_golden(payload, "obs/opencl1/events")
 
     def test_no_numpy_gates_off(self, monkeypatch):
         monkeypatch.setenv("MOCKTAILS_NO_NUMPY", "1")
-        assert not batched_replay_supported(MemoryConfig())
-        # Forcing columnar without numpy must still match scalar.
-        trace = _trace("cpu-d", 800)
-        scalar = simulate_trace(trace, backend="scalar")
-        fallback = simulate_trace(trace, backend="columnar")
-        _assert_stats_equal(scalar, fallback, "no-numpy")
+        assert batched_replay_supported(MemoryConfig())
+        for name in ("cpu-d", "fbc-linear2"):
+            block = ColumnarTrace.from_trace(g.trace(name))
+            _assert_golden(_stats_payload(simulate_trace(block)), f"table2/{name}/default")
+            memory = g.feed_all(g.trace(name), g.VARIANTS["ch_hi"])
+            _assert_golden(g.memory_payload(memory), f"table2/{name}/ch_hi")
 
     def test_completion_hook_forces_scalar_sends(self):
-        trace = _trace("trex2", 1_200)
-        seen_scalar = []
-        seen_batched = []
-
-        def scalar_run():
-            from repro.dram.memory_system import MemorySystem
-            from repro.interconnect.crossbar import Crossbar
-
-            memory = MemorySystem()
-            memory.on_request_complete = lambda rid, lat: seen_scalar.append((rid, lat))
-            crossbar = Crossbar(memory)
-            for request in trace:
-                crossbar.send(request)
-            memory.drain()
-            return memory.stats
-
-        engine = BatchedReplay()
-        engine.memory.on_request_complete = (
-            lambda rid, lat: seen_batched.append((rid, lat))
-        )
-        engine.feed(ColumnarTrace.from_trace(trace), final=True)
-        batched = engine.finish()
-        _assert_stats_equal(scalar_run(), batched, "completion-hook")
-        assert seen_batched == seen_scalar
+        """The completion hook fires in the same order on the block path."""
+        memory = MemorySystem()
+        completed = []
+        memory.on_request_complete = lambda rid, latency: completed.append([rid, latency])
+        crossbar = Crossbar(memory)
+        crossbar.feed(ColumnarTrace.from_trace(g.trace("trex2")))
+        memory.drain()
+        _assert_golden({"stats": g.plain(memory.stats), "completed": completed}, "hook/trex2")
 
 
 class TestEntryPoints:
     def test_blocks_route_into_engine(self):
-        trace = _trace("manhattan")
-        columns = ColumnarTrace.from_trace(trace)
-        scalar = simulate_trace(trace, backend="scalar")
-        batched = simulate_blocks(
-            columns.iter_blocks(block_requests=700), backend="columnar"
-        )
-        fallback = simulate_blocks(
-            columns.iter_blocks(block_requests=700), backend="scalar"
-        )
-        _assert_stats_equal(scalar, batched, "blocks/columnar")
-        _assert_stats_equal(scalar, fallback, "blocks/scalar")
+        columns = ColumnarTrace.from_trace(g.trace("manhattan"))
+        stats = simulate_blocks(columns.iter_blocks(block_requests=700))
+        _assert_golden(_stats_payload(stats), "table2/manhattan/default")
 
     def test_lazy_stream_feed(self):
-        trace = _trace("opencl2")
-        scalar = simulate_trace(trace, backend="scalar")
-        batched = simulate_trace(iter(list(trace)), backend="columnar")
-        _assert_stats_equal(scalar, batched, "lazy-stream")
+        stats = simulate_trace(iter(list(g.trace("opencl2"))))
+        _assert_golden(_stats_payload(stats), "table2/opencl2/default")
 
     def test_synthetic_replay(self):
-        profile = build_profile(_trace("hevc3", 2_000), two_level_ts())
-        scalar = simulate_synthetic(profile, seed=11, backend="scalar")
-        batched = simulate_synthetic(profile, seed=11, backend="columnar")
-        _assert_stats_equal(scalar, batched, "synthetic")
+        stats = simulate_synthetic(g.profile("hevc3"), seed=g.SEED + 2)
+        _assert_golden(_stats_payload(stats), "synthetic/hevc3")
 
     def test_incremental_feeds_match_one_shot(self):
-        trace = _trace("hevc1")
-        columns = ColumnarTrace.from_trace(trace)
-        one_shot = simulate_trace(columns, backend="columnar")
-        engine = BatchedReplay()
-        blocks = list(columns.iter_blocks(block_requests=300))
-        for index, block in enumerate(blocks):
-            engine.feed(block, final=index == len(blocks) - 1)
-        _assert_stats_equal(one_shot, engine.finish(), "incremental")
+        """State persists across calls: blocks of any size, and single
+        sends interleaved with blocks, replay like one stream."""
+        trace = g.trace("hevc1")
+        for block_requests in (1, 300, len(trace)):
+            memory = g.feed_all(trace, block_requests=block_requests)
+            _assert_golden(g.memory_payload(memory), "table2/hevc1/default")
+
+        memory = MemorySystem(g.VARIANTS["chargecache"])
+        crossbar = Crossbar(memory)
+        requests = list(trace)
+        for start in range(0, len(requests), 250):
+            chunk = requests[start : start + 250]
+            if start // 250 % 2:
+                crossbar.feed(ColumnarTrace.from_trace(chunk))
+            else:
+                for request in chunk:
+                    crossbar.send(request)
+        memory.drain()
+        _assert_golden(g.memory_payload(memory), "table2/hevc1/chargecache")
 
     def test_empty_block_is_noop(self):
-        engine = BatchedReplay()
-        engine.feed(ColumnarTrace.from_trace([]), final=True)
-        stats = engine.finish()
-        assert stats.latency_count == 0
+        memory = MemorySystem()
+        Crossbar(memory).feed(ColumnarTrace.from_trace([]))
+        memory.drain()
+        assert memory.stats.latency_count == 0
+        assert memory.engine.last_request_id is None
 
 
 class TestObservability:
     def test_registry_values_match_scalar(self):
-        """Counters and histograms, not just stats, must be identical."""
-        trace = _trace("hevc1")
-        columns = ColumnarTrace.from_trace(trace)
-        snapshots = {}
-        for backend, source in (("scalar", trace), ("columnar", columns)):
-            obs.enable()
-            try:
-                simulate_trace(source, backend=backend)
-                snapshots[backend] = obs.active().snapshot()
-            finally:
-                obs.disable()
-            # Wall time legitimately differs; everything else must not.
-            snapshots[backend].pop("phases_seconds")
-        assert snapshots["columnar"] == snapshots["scalar"]
+        """Counters and histograms, not just stats, match the send path."""
+        registry = obs.enable()
+        try:
+            memory = g.feed_all(g.trace("hevc1", g.REQUESTS // 4), None)
+            snapshot = registry.snapshot()
+        finally:
+            obs.disable()
+        snapshot.pop("phases_seconds")
+        payload = {"stats": g.plain(memory.stats), "registry": snapshot}
+        _assert_golden(payload, "obs/hevc1/counters")
 
     def test_phase_timers_recorded(self):
         obs.enable()
         try:
-            simulate_trace(
-                ColumnarTrace.from_trace(_trace("cpu-g", 600)), backend="columnar"
-            )
+            simulate_trace(ColumnarTrace.from_trace(g.trace("cpu-g", 600)))
             phases = obs.active().phases
         finally:
             obs.disable()

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.core.request import Operation
+from repro import obs
+from repro.core.request import MemoryRequest, Operation
 from repro.dram.address_map import AddressMap, Burst
 from repro.dram.config import DRAMTiming, MemoryConfig
 from repro.dram.controller import MemoryController
+from repro.dram.memory_system import MemorySystem
 
 
 def make_config(**overrides):
@@ -28,6 +30,23 @@ def make_burst(address_map, address, op=Operation.READ, arrival=0, request_id=0)
 def setup():
     config = make_config()
     return config, AddressMap(config), MemoryController(config, channel=0)
+
+
+@pytest.fixture
+def observed():
+    """Like ``setup``, plus the ``dram.issue`` events in issue order."""
+    sink = obs.MemoryEventSink()
+    obs.enable(sink)
+    try:
+        config = make_config()
+        yield (
+            config,
+            AddressMap(config),
+            MemoryController(config, channel=0),
+            lambda: sink.of_type("dram.issue"),
+        )
+    finally:
+        obs.disable()
 
 
 class TestQueueing:
@@ -86,7 +105,7 @@ class TestRowHits:
         row_stride = config.row_size * config.banks_per_channel
         clock = 0
         for i in range(6):
-            controller.service_until(clock)
+            controller.service(clock)
             controller.drain()  # bank conflict resolved before next arrival
             controller.enqueue(make_burst(amap, (i % 2) * row_stride, arrival=clock))
             clock += 10_000
@@ -115,23 +134,21 @@ class TestFRFCFS:
         controller.drain()
         assert controller.stats.read_row_hits == 1
 
-    def test_fcfs_among_misses(self, setup):
-        config, amap, controller = setup
-        issued = []
-        controller.on_completion = lambda rid, t, is_read: issued.append(rid)
+    def test_fcfs_among_misses(self):
+        config = make_config()
+        memory = MemorySystem(config)
+        completed = []
+        memory.on_request_complete = lambda rid, latency: completed.append(rid)
         bank_sweep = config.row_size * config.banks_per_channel
-        controller.enqueue(make_burst(amap, 0 * bank_sweep, arrival=0, request_id=1))
-        controller.enqueue(make_burst(amap, 2 * bank_sweep, arrival=0, request_id=2))
-        controller.enqueue(make_burst(amap, 4 * bank_sweep, arrival=0, request_id=3))
-        controller.drain()
-        assert issued == [1, 2, 3]
+        for row in (0, 2, 4):  # one bank, three rows: every access misses
+            memory.submit(MemoryRequest(0, row * bank_sweep, Operation.READ, 32))
+        memory.drain()
+        assert completed == [0, 1, 2]
 
 
 class TestWriteDrain:
-    def test_reads_prioritized_below_watermark(self, setup):
-        config, amap, controller = setup
-        issued = []
-        controller.on_completion = lambda rid, t, is_read: issued.append(is_read)
+    def test_reads_prioritized_below_watermark(self, observed):
+        config, amap, controller, events = observed
         below = config.write_high_watermark - 1
         for i in range(below):
             controller.enqueue(make_burst(amap, i * 32, Operation.WRITE, arrival=0))
@@ -139,20 +156,18 @@ class TestWriteDrain:
         controller.drain()
         # Below the watermark the pending read is serviced before any
         # write (writes drain opportunistically only once reads are done).
-        assert issued[0] is True
+        assert events()[0]["is_read"] is True
         assert controller.stats.read_bursts == 1
 
     def test_high_watermark_triggers_drain(self, setup):
         config, amap, controller = setup
         for i in range(config.write_high_watermark):
             controller.enqueue(make_burst(amap, i * 32, Operation.WRITE, arrival=0))
-        controller.service_until(10_000)
+        controller.service(10_000)
         assert controller.stats.write_bursts > 0
 
-    def test_drain_stops_at_low_watermark_when_reads_pending(self, setup):
-        config, amap, controller = setup
-        issued = []
-        controller.on_completion = lambda rid, t, is_read: issued.append(is_read)
+    def test_drain_stops_at_low_watermark_when_reads_pending(self, observed):
+        config, amap, controller, events = observed
         for i in range(config.write_high_watermark):
             controller.enqueue(make_burst(amap, i * 32, Operation.WRITE, arrival=0))
         for i in range(4):
@@ -160,7 +175,7 @@ class TestWriteDrain:
         controller.drain()
         # The high watermark triggers a drain down to the low watermark,
         # then the pending reads preempt the remaining writes.
-        writes_before_first_read = issued.index(True)
+        writes_before_first_read = [event["is_read"] for event in events()].index(True)
         expected = config.write_high_watermark - config.write_low_watermark
         assert writes_before_first_read == expected
         assert controller.stats.read_bursts == 4
@@ -178,7 +193,7 @@ class TestWriteDrain:
     def test_idle_writes_drained_opportunistically(self, setup):
         config, amap, controller = setup
         controller.enqueue(make_burst(amap, 0, Operation.WRITE, arrival=0))
-        controller.service_until(10_000)
+        controller.service(10_000)
         assert controller.stats.write_bursts == 1
 
 
@@ -190,7 +205,7 @@ class TestPagePolicy:
         # Two bursts to the same row arriving far apart: with no pending
         # same-row burst at issue time, the row is closed in between.
         controller.enqueue(make_burst(amap, 0, arrival=0))
-        controller.service_until(1_000)
+        controller.service(1_000)
         controller.enqueue(make_burst(amap, 32, arrival=1_000))
         controller.drain()
         assert controller.stats.read_row_hits == 0
@@ -200,7 +215,7 @@ class TestPagePolicy:
         amap = AddressMap(config)
         controller = MemoryController(config, channel=0)
         controller.enqueue(make_burst(amap, 0, arrival=0))
-        controller.service_until(1_000)
+        controller.service(1_000)
         controller.enqueue(make_burst(amap, 32, arrival=1_000))
         controller.drain()
         assert controller.stats.read_row_hits == 1
@@ -216,23 +231,21 @@ class TestPagePolicy:
 
 
 class TestTiming:
-    def test_completion_callback_ordering(self, setup):
-        config, amap, controller = setup
-        completions = []
-        controller.on_completion = lambda rid, t, is_read: completions.append((rid, t))
+    def test_completion_callback_ordering(self, observed):
+        config, amap, controller, events = observed
         controller.enqueue(make_burst(amap, 0, arrival=0, request_id=0))
         controller.enqueue(make_burst(amap, 32, arrival=0, request_id=1))
         controller.drain()
-        assert len(completions) == 2
-        assert completions[0][1] < completions[1][1]
+        finishes = [event["finish"] for event in events()]
+        assert len(finishes) == 2
+        assert finishes[0] < finishes[1]
 
-    def test_row_miss_slower_than_hit(self, setup):
-        config, amap, controller = setup
-        completions = []
-        controller.on_completion = lambda rid, t, is_read: completions.append(t)
+    def test_row_miss_slower_than_hit(self, observed):
+        config, amap, controller, events = observed
         controller.enqueue(make_burst(amap, 0, arrival=0))
         controller.enqueue(make_burst(amap, 32, arrival=0))  # hit
         controller.drain()
+        completions = [event["finish"] for event in events()]
         first_gap = completions[0]
         second_gap = completions[1] - completions[0]
         # The opening access pays tRCD; the hit only pays tBURST.
@@ -241,15 +254,15 @@ class TestTiming:
     def test_service_until_respects_time_limit(self, setup):
         config, amap, controller = setup
         controller.enqueue(make_burst(amap, 0, arrival=500))
-        controller.service_until(100)
+        controller.service(100)
         assert controller.stats.read_bursts == 0
-        controller.service_until(10_000)
+        controller.service(10_000)
         assert controller.stats.read_bursts == 1
 
     def test_service_one_on_empty_raises(self, setup):
         _, _, controller = setup
         with pytest.raises(RuntimeError):
-            controller.service_one()
+            controller.service()
 
     def test_per_bank_counts(self, setup):
         config, amap, controller = setup
@@ -274,7 +287,7 @@ class TestRefresh:
         controller = MemoryController(config, channel=0)
         clock = 0
         for i in range(20):
-            controller.service_until(clock)
+            controller.service(clock)
             controller.enqueue(make_burst(amap, i * 32, arrival=clock))
             clock += 500
         controller.drain()
@@ -288,7 +301,7 @@ class TestRefresh:
         amap = AddressMap(config)
         controller = MemoryController(config, channel=0)
         controller.enqueue(make_burst(amap, 0, arrival=0))
-        controller.service_until(10)
+        controller.service(10)
         # Next access to the same row lands after a refresh: row closed.
         controller.enqueue(make_burst(amap, 32, arrival=5_000))
         controller.drain()

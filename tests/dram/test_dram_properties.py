@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.request import MemoryRequest, Operation
+from repro.dram.chargecache import ChargeCacheConfig
 from repro.dram.config import DRAMTiming, MemoryConfig
 from repro.dram.memory_system import MemorySystem
 
@@ -34,6 +36,10 @@ def memory_configs(draw):
         read_queue_size=draw(st.sampled_from([4, 16, 32])),
         write_queue_size=draw(st.sampled_from([8, 32, 64])),
         page_policy=draw(st.sampled_from(["open", "open_adaptive"])),
+        timing=draw(st.sampled_from([DRAMTiming(), DRAMTiming(t_refi=2_000, t_rfc=150)])),
+        charge_cache=draw(
+            st.sampled_from([None, ChargeCacheConfig(capacity=4, expiry_cycles=5_000)])
+        ),
     )
 
 
@@ -62,7 +68,7 @@ class TestConservation:
     def test_every_request_completes(self, requests, config):
         memory = _run(requests, config)
         assert memory.stats.latency_count == len(requests)
-        assert not memory._outstanding
+        assert not memory.engine.outstanding
 
     @given(request_batches(), memory_configs())
     @settings(max_examples=40, deadline=None)
@@ -92,6 +98,37 @@ class TestConservation:
         a = _run(requests, MemoryConfig()).stats.summary()
         b = _run(requests, MemoryConfig()).stats.summary()
         assert a == b
+
+
+class TestProtocol:
+    """Bus-level timing rules, checked on the ``dram.issue`` event stream."""
+
+    @given(request_batches(), memory_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_issue_stream_respects_bus_timing(self, requests, config):
+        sink = obs.MemoryEventSink()
+        obs.enable(sink)
+        try:
+            memory = _run(requests, config)
+        finally:
+            obs.disable()
+        issues = sink.of_type("dram.issue")
+        timing = config.timing
+        for channel in range(config.num_channels):
+            previous = None
+            for event in (e for e in issues if e["channel"] == channel):
+                if previous is not None:
+                    gap = event["finish"] - previous["finish"]
+                    # No data-bus overlap between consecutive bursts.
+                    assert gap >= timing.t_burst
+                    if previous["is_read"] and not event["is_read"]:
+                        assert gap >= timing.t_burst + timing.t_rtw
+                    elif event["is_read"] and not previous["is_read"]:
+                        assert gap >= timing.t_burst + timing.t_wtr
+                previous = event
+        stats = memory.stats
+        assert sum(e["row_hit"] for e in issues) == stats.read_row_hits + stats.write_row_hits
+        assert len(issues) == stats.read_bursts + stats.write_bursts
 
 
 class TestAddressMapProperties:

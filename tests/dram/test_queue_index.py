@@ -1,9 +1,10 @@
-"""Invariant tests for the controller's per-(bank, row) burst index.
+"""FR-FCFS pick order and the engine's per-(bank, row) queue index.
 
-``_BurstQueue`` replaces the old O(queue) scans in FR-FCFS row-hit
-search and the open-adaptive page policy. These tests pin the index to
-a brute-force reference model through random enqueue/pop workloads, and
-check the controller end to end against the same request stream.
+Each channel of :class:`~repro.dram.batched.MemoryEngine` keeps its
+queues as FIFO dicts plus a ``(bank, row)`` index whose stale heads are
+dropped lazily. These tests pin the index and every scheduling pick to
+a brute-force reference through random enqueue/service workloads, and
+check the engine end to end against the same request stream.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 from repro.core.request import MemoryRequest, Operation
 from repro.dram.address_map import Burst, DramCoordinates
 from repro.dram.config import MemoryConfig
-from repro.dram.controller import _BurstQueue
+from repro.dram.controller import MemoryController
 from repro.dram.memory_system import MemorySystem
 
 
@@ -28,85 +29,114 @@ def _burst(arrival, bank=0, row=0, op=Operation.READ, rank=0):
     )
 
 
-def _reference_first_for_row(bursts, bank_id, row):
-    """Brute-force oldest queued burst hitting (bank, row)."""
-    for seq, burst in bursts:
-        if burst.bank_id == bank_id and burst.coordinates.row == row:
-            return seq
-    return None
+def _controller(**overrides):
+    config = MemoryConfig(num_channels=1, **overrides)
+    return config, MemoryController(config, channel=0)
+
+
+def _live_index(entries, byrow):
+    """The row index with stale sequence numbers filtered out."""
+    live = {}
+    for key, seqs in byrow.items():
+        alive = [seq for seq in seqs if seq in entries]
+        if alive:
+            live[key] = alive
+    return live
+
+
+def _reference_index(entries):
+    """Brute-force ``(bank, row)`` -> queued sequence numbers, FIFO order."""
+    index = {}
+    for seq, (_arrival, bank, row, _rid) in entries.items():
+        index.setdefault((bank, row), []).append(seq)
+    return index
+
+
+def _reference_pick(state, config):
+    """Brute-force FR-FCFS: (queue, seq) the next issue must take."""
+    reads, writes = state.reads, state.writes
+    low, high = config.write_low_watermark, config.write_high_watermark
+    if state.draining and writes and not (len(writes) <= low and reads):
+        queue = writes
+    elif len(writes) >= high or not reads:
+        queue = writes
+    else:
+        queue = reads
+    decision = max(state.bus_free, min(entry[0] for entry in queue.values()))
+    open_rows = state.open_rows
+    for seq, (arrival, bank, row, _rid) in queue.items():
+        if open_rows.get(bank) == row and arrival <= decision:
+            return queue, seq
+    return queue, next(iter(queue))
 
 
 def test_append_pop_keeps_fifo_and_row_index():
-    queue = _BurstQueue()
+    _, controller = _controller(page_policy="open")
+    state = controller.engine.channels[0]
     first = _burst(10, bank=0, row=5)
-    second = _burst(11, bank=0, row=5)
-    third = _burst(12, bank=1, row=5)
+    second = _burst(11, bank=1, row=5)
+    third = _burst(12, bank=0, row=5)
     for burst in (first, second, third):
-        queue.append(burst)
+        controller.enqueue(burst)
 
-    assert len(queue) == 3
-    assert queue.earliest_arrival() == 10
-    assert queue.oldest_seq() == 0
-    assert queue.first_for_row(first.bank_id, 5) == 0
-    assert queue.first_for_row(third.bank_id, 5) == 2
-    assert queue.first_for_row(first.bank_id, 99) is None
+    assert controller.read_queue_length == 3
+    assert [entry[0] for entry in state.reads.values()] == [10, 11, 12]
+    assert _live_index(state.reads, state.read_rows) == {(0, 5): [0, 2], (1, 5): [1]}
 
-    assert queue.pop(0) is first
-    assert queue.first_for_row(first.bank_id, 5) == 1
-    assert queue.earliest_arrival() == 11
-    assert queue.pop(1) is second
-    assert not queue.has_row(first.bank_id, 5)
-    assert queue.has_row(third.bank_id, 5)
-    assert queue.pop(2) is third
-    assert len(queue) == 0
-    assert queue.oldest_seq() is None
+    # Nothing open: the FIFO-oldest burst goes first and opens (0, 5) ...
+    controller.service()
+    assert [entry[0] for entry in state.reads.values()] == [11, 12]
+    assert _live_index(state.reads, state.read_rows) == {(0, 5): [2], (1, 5): [1]}
+    # ... so its row hit overtakes the older miss on bank 1.
+    controller.service()
+    assert [entry[0] for entry in state.reads.values()] == [11]
+    assert controller.stats.read_row_hits == 1
+    controller.service()
+    assert controller.pending == 0
+    assert _live_index(state.reads, state.read_rows) == {}
 
 
 def test_out_of_order_arrival_rejected():
-    queue = _BurstQueue()
-    queue.append(_burst(100))
+    _, controller = _controller()
+    controller.enqueue(_burst(100))
     with pytest.raises(ValueError):
-        queue.append(_burst(99))
+        controller.enqueue(_burst(99))
     # equal arrivals are fine (many bursts of one request share a timestamp)
-    queue.append(_burst(100))
+    controller.enqueue(_burst(100))
+    # reads and writes are ordered per queue
+    controller.enqueue(_burst(50, op=Operation.WRITE))
 
 
 def test_index_matches_brute_force_under_random_workload():
+    for page_policy in ("open", "open_adaptive"):
+        _check_random_workload(page_policy)
+
+
+def _check_random_workload(page_policy):
     rng = random.Random(7)
-    queue = _BurstQueue()
-    reference = []  # list of (seq, burst) in FIFO order
-    seq_counter = 0
+    config, controller = _controller(page_policy=page_policy)
+    state = controller.engine.channels[0]
     arrival = 0
-    for _ in range(2000):
-        if reference and rng.random() < 0.45:
-            # Pop the way FR-FCFS does: a row-index head or the FIFO head.
-            if rng.random() < 0.5:
-                seq = reference[0][0]
-            else:
-                victim = rng.choice(reference)
-                seq = _reference_first_for_row(
-                    reference, victim[1].bank_id, victim[1].coordinates.row
-                )
-            queue.pop(seq)
-            reference = [entry for entry in reference if entry[0] != seq]
+    for _ in range(3000):
+        if controller.pending and rng.random() < 0.45:
+            queue, expected = _reference_pick(state, config)
+            before = dict(queue)
+            controller.service()
+            issued = [seq for seq in before if seq not in queue]
+            assert issued == [expected]
         else:
             arrival += rng.randrange(3)
-            burst = _burst(arrival, bank=rng.randrange(4), row=rng.randrange(6))
-            queue.append(burst)
-            reference.append((seq_counter, burst))
-            seq_counter += 1
-
-        assert len(queue) == len(reference)
-        assert list(queue) == [burst for _, burst in reference]
-        if reference:
-            assert queue.oldest_seq() == reference[0][0]
-            assert queue.earliest_arrival() == reference[0][1].arrival_time
-        for bank in range(4):
-            for row in range(6):
-                bank_id = _burst(0, bank=bank).bank_id
-                assert queue.first_for_row(bank_id, row) == _reference_first_for_row(
-                    reference, bank_id, row
-                ), f"bank={bank} row={row}"
+            op = Operation.WRITE if rng.random() < 0.4 else Operation.READ
+            if controller.queue_full(op is Operation.READ):
+                continue
+            controller.enqueue(
+                _burst(arrival, bank=rng.randrange(4), row=rng.randrange(6), op=op)
+            )
+        for entries, byrow in (
+            (state.reads, state.read_rows),
+            (state.writes, state.write_rows),
+        ):
+            assert _live_index(entries, byrow) == _reference_index(entries)
 
 
 def _random_requests(seed, total=400):
