@@ -30,12 +30,8 @@ second engine to compare it against since schema 10. The serial
 figure runs additionally attribute their wall time to
 ``replay.synthesis`` / ``replay.crossbar`` / ``replay.dram`` phase
 timers (``figure_phase_seconds``, schema 9).
-The job-queue service (:mod:`repro.engine` + :mod:`repro.service`,
-schema 7) is stormed with 1,000 duplicate-heavy clients against one
-server: the engine must compute each unique job exactly once
-(single-flight + store memoization, asserted on the scheduler tallies),
-and sustained jobs/sec are recorded cold (empty store) and warm (same
-storm replayed, zero computations) along with the dedupe hit rate.
+Schema 11 drops the job-queue service storm (schema 7) and the lint
+cold/warm timings (schema 8) together with the code they measured.
 A run manifest (``BENCH_manifest.json``,
 via :mod:`repro.obs`) is recorded alongside it with host info and the
 observability counters accumulated during the figure runs.
@@ -262,97 +258,6 @@ def test_perf_snapshot(bench_jobs, capsys):
         lambda: build_profile(trace, two_level_ts(), stream=False)
     )
 
-    # -- job-queue service storm (repro.engine + repro.service) ------------
-    # A thousand logical clients (at most 128 concurrent sockets) hammer
-    # one server with profile jobs drawn from STORM_UNIQUE distinct
-    # specs. The engine must compute each unique spec exactly once —
-    # duplicates either join the in-flight computation (single-flight)
-    # or read the payload back from the store — however the storm
-    # interleaves. Cold = empty store; warm = the same storm replayed
-    # against the now-full store (zero computations).
-    import asyncio
-    import threading
-
-    from repro.engine import Scheduler
-    from repro.service import JobServer
-    from repro.service.client import storm as service_storm
-
-    STORM_CLIENTS = int(os.environ.get("MOCKTAILS_STORM_CLIENTS", "1000"))
-    STORM_UNIQUE = 10
-    storm_workloads = ("hevc1", "trex1")
-
-    def _storm_spec(index):
-        spec = index % STORM_UNIQUE
-        return {
-            "name": storm_workloads[spec % len(storm_workloads)],
-            "num_requests": 2_000 + 200 * (spec // len(storm_workloads)),
-        }
-
-    def _run_storm(port):
-        submissions = [[("profile", _storm_spec(i))] for i in range(STORM_CLIENTS)]
-        start = time.perf_counter()
-        responses = service_storm("127.0.0.1", port, submissions, concurrency=128)
-        elapsed = time.perf_counter() - start
-        assert all(r[0]["type"] == "result" for r in responses), (
-            "storm client got a non-result terminal response"
-        )
-        return elapsed
-
-    storm_scheduler = Scheduler(
-        workers=jobs, backend="thread", queue_limit=max(256, STORM_CLIENTS)
-    )
-    storm_server = JobServer(storm_scheduler, port=0, client_quota=4)
-    storm_ready = threading.Event()
-    storm_state = {}
-
-    async def _storm_main():
-        await storm_server.start()
-        storm_state["loop"] = asyncio.get_running_loop()
-        storm_ready.set()
-        await storm_server.run()
-
-    storm_thread = threading.Thread(
-        target=lambda: asyncio.run(_storm_main()), daemon=True
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-storm-cache-") as storm_cache:
-        try:
-            store.configure(storm_cache)
-            storm_thread.start()
-            assert storm_ready.wait(10), "storm server did not start"
-            timings["service_storm_cold"] = _run_storm(storm_server.port)
-            storm_cold_tally = dict(storm_scheduler.tally)
-            timings["service_storm_warm"] = _run_storm(storm_server.port)
-            storm_warm_tally = dict(storm_scheduler.tally)
-        finally:
-            storm_state["loop"].call_soon_threadsafe(storm_server.request_stop)
-            storm_thread.join(10)
-            storm_scheduler.close(cancel_pending=True)
-            store.deactivate()
-
-    storm_unique_computes = storm_cold_tally["executed"]
-    storm_exactly_once = storm_unique_computes == STORM_UNIQUE
-    assert storm_exactly_once, (
-        f"storm computed {storm_unique_computes} jobs for "
-        f"{STORM_UNIQUE} unique specs (single-flight broken)"
-    )
-    # The warm replay must not compute anything at all.
-    assert storm_warm_tally["executed"] == storm_cold_tally["executed"], (
-        "warm storm recomputed jobs the store already holds"
-    )
-    storm_cold_total = storm_cold_tally["submitted"] + storm_cold_tally["deduped"]
-    assert storm_cold_total == STORM_CLIENTS
-    storm_dedupe_hit_rate = (storm_cold_total - storm_unique_computes) / storm_cold_total
-    storm_cold_jobs_per_sec = (
-        STORM_CLIENTS / timings["service_storm_cold"]
-        if timings["service_storm_cold"]
-        else None
-    )
-    storm_warm_jobs_per_sec = (
-        STORM_CLIENTS / timings["service_storm_warm"]
-        if timings["service_storm_warm"]
-        else None
-    )
-
     # -- figure runners: serial (cold caches, metrics registry active) -----
     registry = obs.enable()
     try:
@@ -434,32 +339,6 @@ def test_perf_snapshot(bench_jobs, capsys):
             else None
         )
 
-        # -- whole-program lint: cold parse vs warm incremental cache ------
-        # The two-phase engine re-parses nothing on a warm run: every
-        # per-file analysis must come back from the content-hash cache
-        # (only the project-phase conc rules recompute).
-        from repro.lint.cache import LintCache
-        from repro.lint.engine import lint_project
-
-        lint_target = str(Path(__file__).resolve().parent.parent / "src" / "repro")
-        with tempfile.TemporaryDirectory(prefix="repro-bench-lint-") as lint_dir:
-            lint_cache = LintCache(Path(lint_dir))
-            cold_report, timings["lint_full"] = _timed(
-                lambda: lint_project([lint_target], cache=lint_cache)
-            )
-            warm_report, timings["lint_warm"] = _timed(
-                lambda: lint_project([lint_target], cache=lint_cache)
-            )
-        lint_files = cold_report.files
-        assert cold_report.cache_misses == lint_files
-        assert warm_report.cache_hits == lint_files, (
-            f"warm lint re-parsed files: {warm_report.cache_misses} misses"
-        )
-        assert warm_report.cache_misses == 0
-        assert [f.to_dict() for f in warm_report.findings] == [
-            f.to_dict() for f in cold_report.findings
-        ], "warm lint findings differ from cold"
-
         serial_total = sum(timings[f"{name}_serial"] for name in runners)
         timings["figures_serial_total"] = serial_total
         speedup = None
@@ -469,7 +348,7 @@ def test_perf_snapshot(bench_jobs, capsys):
             speedup = serial_total / parallel_total if parallel_total else None
 
         snapshot = {
-            "schema": 10,
+            "schema": 11,
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "host": {
                 "cpus": cpus,
@@ -522,26 +401,6 @@ def test_perf_snapshot(bench_jobs, capsys):
             "sampled_geomean_error_percent": sampled_geomean_error_percent,
             "sampled_error_bound_percent": sampled_error_bound_percent,
             "sampled_within_bound": sampled_within_bound,
-            # Job-queue service storm (repro.engine + repro.service,
-            # schema 7): STORM_CLIENTS duplicate-heavy clients against
-            # one server. Each unique job spec computes exactly once
-            # (in-flight dedupe + store memoization); sustained
-            # jobs/sec are recorded cold (empty store) and warm (the
-            # same storm replayed, zero computations).
-            "storm_clients": STORM_CLIENTS,
-            "storm_unique_jobs": STORM_UNIQUE,
-            "storm_unique_computes": storm_unique_computes,
-            "storm_exactly_once": storm_exactly_once,
-            "storm_dedupe_hit_rate": round(storm_dedupe_hit_rate, 4),
-            "storm_cold_jobs_per_sec": storm_cold_jobs_per_sec,
-            "storm_warm_jobs_per_sec": storm_warm_jobs_per_sec,
-            # Whole-program lint (repro.lint, schema 8): full src/repro
-            # wall time cold vs warm through the incremental per-file
-            # cache; a warm run re-parses nothing.
-            "lint_files": lint_files,
-            "lint_full_wall_seconds": round(timings["lint_full"], 4),
-            "lint_warm_wall_seconds": round(timings["lint_warm"], 4),
-            "lint_cache_hits_warm": warm_report.cache_hits,
             "timings_seconds": {key: round(value, 4) for key, value in timings.items()},
         }
         RESULT_PATH.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
@@ -573,9 +432,6 @@ def test_perf_snapshot(bench_jobs, capsys):
         if speedup_cache_sweep is not None:
             print(f"  batched cache sweep:     {speedup_cache_sweep:.1f}x "
                   "over scalar (bit-identical)")
-        if speedup_dram_replay is not None:
-            print(f"  batched DRAM replay:     {speedup_dram_replay:.1f}x "
-                  "over scalar (bit-identical)")
         print("  figure phases:           "
               + ", ".join(
                   f"{name.split('.')[1]} {seconds:.1f}s"
@@ -589,12 +445,6 @@ def test_perf_snapshot(bench_jobs, capsys):
                   f"over full (k={sample_k}/{sample_intervals}, "
                   f"err {sampled_geomean_error_percent:.1f}% <= "
                   f"bound {sampled_error_bound_percent:.1f}%)")
-        if storm_cold_jobs_per_sec is not None:
-            print(f"  service storm:           {STORM_CLIENTS} clients, "
-                  f"{storm_unique_computes} computes "
-                  f"(dedupe {storm_dedupe_hit_rate:.1%}), "
-                  f"{storm_cold_jobs_per_sec:,.0f} jobs/s cold / "
-                  f"{storm_warm_jobs_per_sec:,.0f} warm")
         print(f"  peak build memory:       "
               f"{peak_profile_memory_bytes / 1e6:.1f} MB streamed vs "
               f"{peak_profile_memory_bytes_inmemory / 1e6:.1f} MB in-memory")

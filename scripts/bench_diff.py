@@ -129,11 +129,16 @@ _SCHEMA7_FIELDS = (
 )
 
 
+#: Schema 11 retires the job-queue service and the lint result cache:
+#: their schema 7 and schema 8 fields are gone on purpose.
+_SERVICE_RETIRED_SCHEMA = 11
+
+
 def _check_schema7_fields(path, data):
-    """Fail loudly when a schema>=7 snapshot lacks the service entries."""
+    """Fail loudly when a schema 7-10 snapshot lacks the service entries."""
     schema = data.get("schema")
-    if not isinstance(schema, int) or schema < 7:
-        return  # pre-service snapshot: nothing to require
+    if not isinstance(schema, int) or not 7 <= schema < _SERVICE_RETIRED_SCHEMA:
+        return  # pre-service or post-service snapshot: nothing to require
     timings = data["timings_seconds"]
     missing = [key for key in _SCHEMA7_TIMINGS if key not in timings]
     missing += [f"top-level '{key}'" for key in _SCHEMA7_FIELDS if key not in data]
@@ -158,10 +163,10 @@ _SCHEMA8_FIELDS = (
 
 
 def _check_schema8_fields(path, data):
-    """Fail loudly when a schema>=8 snapshot lacks the lint entries."""
+    """Fail loudly when a schema 8-10 snapshot lacks the lint entries."""
     schema = data.get("schema")
-    if not isinstance(schema, int) or schema < 8:
-        return  # pre-lint-bench snapshot: nothing to require
+    if not isinstance(schema, int) or not 8 <= schema < _SERVICE_RETIRED_SCHEMA:
+        return  # pre- or post-lint-bench snapshot: nothing to require
     timings = data["timings_seconds"]
     missing = [key for key in _SCHEMA8_TIMINGS if key not in timings]
     missing += [f"top-level '{key}'" for key in _SCHEMA8_FIELDS if key not in data]

@@ -2,86 +2,50 @@
 
 The repo's expensive work decomposes into deterministic *jobs*: frozen
 dataclasses whose fields completely describe one computation (one
-DRAM-comparison trio, one profile build, one sampling report). Before
-this package they lived inside ``repro.eval.parallel``, fused to the
-experiment runners; ``repro.engine`` is that job model refactored into
-a layer every front end shares:
+DRAM-comparison trio, one SPEC synthetic set, one sampling report).
+Before this package they lived inside ``repro.eval.parallel``, fused to
+the experiment runners; ``repro.engine`` is that job model as a layer
+of its own:
 
 * :mod:`repro.engine.jobs` — the job dataclasses, the type registry
-  (executor / cache installer / wire adapter per type) and the
+  (executor / cache installer / cached-check per type) and the
   dispatch helpers (:func:`execute_job`, :func:`install`,
-  :func:`is_cached`, :func:`job_from_wire`, :func:`wire_payload`);
+  :func:`is_cached`);
 * :mod:`repro.engine.pool` — the repo-standard process pool
   (:func:`make_pool`, :func:`default_processes`);
 * :mod:`repro.engine.prewarm` — batch fan-out with cross-run
-  memoization and the per-key lock protocol (what ``--jobs N`` runs);
-* :mod:`repro.engine.scheduler` — the long-running single-flight
-  :class:`Scheduler` behind :mod:`repro.service`: bounded queue with
-  backpressure, in-flight dedupe on canonical cache keys, worker-crash
-  retry, per-job lifecycle events through :mod:`repro.obs`.
+  memoization and the per-key lock protocol (what ``--jobs N`` runs).
 
 Canonical cache keys come from :func:`repro.store.memo.cache_key`, so
-the scheduler's single-flight map, the prewarm lock protocol and the
-persistent store all agree on what "the same job" means.
+the prewarm lock protocol and the persistent store agree on what "the
+same job" means.
 """
 
 from .jobs import (
     DramJob,
     Job,
-    JobValidationError,
-    ProfileJob,
     SampleJob,
     SizeJob,
     SpecJob,
-    SynthesizeJob,
     execute_job,
     install,
     is_cached,
-    job_from_wire,
     register_job_type,
-    validate_job,
-    wire_kinds,
-    wire_payload,
 )
 from .pool import default_processes, make_pool
 from .prewarm import prewarm
-from .scheduler import (
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    JobFailed,
-    JobHandle,
-    QueueFull,
-    Scheduler,
-)
 
 __all__ = [
-    "DONE",
     "DramJob",
-    "FAILED",
     "Job",
-    "JobFailed",
-    "JobHandle",
-    "JobValidationError",
-    "ProfileJob",
-    "QUEUED",
-    "QueueFull",
-    "RUNNING",
     "SampleJob",
-    "Scheduler",
     "SizeJob",
     "SpecJob",
-    "SynthesizeJob",
     "default_processes",
     "execute_job",
     "install",
     "is_cached",
-    "job_from_wire",
     "make_pool",
     "prewarm",
     "register_job_type",
-    "validate_job",
-    "wire_kinds",
-    "wire_payload",
 ]

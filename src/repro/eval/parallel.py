@@ -3,9 +3,9 @@
 The job model that used to live here — the ``DramJob``/``SpecJob``/
 ``SizeJob``/``SampleJob`` dataclasses, ``execute_job``, the pool
 construction and the ``prewarm`` fan-out with its per-key lock protocol
-— moved to :mod:`repro.engine` so the asyncio service
-(:mod:`repro.service`) and the experiment runners share one scheduler
-substrate. This module keeps the experiment-specific half: mapping an
+— moved to :mod:`repro.engine` so the experiment runners and the
+streaming profiler's shard fan-out share one pool and one job registry.
+This module keeps the experiment-specific half: mapping an
 experiment name to its unit-job list (:func:`jobs_for`) and the
 prewarm-then-aggregate convenience (:func:`run_experiment`).
 

@@ -1,29 +1,22 @@
 """``repro.lint`` — determinism & invariant static analysis + sanitizers.
 
 The reproduction's guarantees (figure stats bit-identical under
-``--jobs N``, warm cache byte-identical to cold, crc32-stable seeding,
-byte-identical results under any concurrency schedule) rest on
-conventions no test exercises directly: randomness flows only through
-seeded ``random.Random`` objects, simulation code never reads the wall
-clock, every artifact write is atomic, nothing iterates a set into
-serialized output, nothing blocks the service event loop, shared state
-is written under its owning lock. This package turns those conventions
-into machine-checked rules:
+``--jobs N``, warm cache byte-identical to cold, crc32-stable seeding)
+rest on conventions no test exercises directly: randomness flows only
+through seeded ``random.Random`` objects, simulation code never reads
+the wall clock, every artifact write is atomic, nothing iterates a set
+into serialized output. This package turns those conventions into
+machine-checked rules:
 
-* :func:`lint_paths` / :func:`lint_project` / :func:`lint_source` — the
-  two-phase whole-program linter (also ``python -m repro.lint src/``):
-  a per-file phase (cached incrementally by content hash, see
-  :mod:`repro.lint.cache`) and a project phase that builds the
-  module-resolved call graph (:mod:`repro.lint.graph`) and runs the
-  interprocedural ``conc-*`` concurrency rules. Per-line
-  ``# lint: ignore[rule-id]`` suppressions (anchored to statement
-  spans, so a decorated ``def``'s findings can be suppressed at the
-  decorator) and unused-suppression detection;
+* :func:`lint_paths` / :func:`lint_source` — the per-file linter (also
+  ``python -m repro.lint src/``): each file is parsed once and the
+  ``det-*``, ``io-*``, ``api-*`` and ``perf-slots`` rules run over its
+  tree. Per-line ``# lint: ignore[rule-id]`` suppressions (anchored to
+  statement spans, so a decorated ``def``'s findings can be suppressed
+  at the decorator) and unused-suppression detection;
 * :mod:`repro.lint.sanitize` — runtime checkers behind flags: the
   :class:`~repro.lint.sanitize.TraceInvariantChecker` the sim drivers
-  consult, the lock-order checker and event-loop stall monitor the
-  service exposes (``serve --lock-order-check --stall-threshold-ms``),
-  and the ``--check-determinism`` double-run harness.
+  consult, and the ``--check-determinism`` double-run harness.
 """
 
 from .engine import (
@@ -31,13 +24,9 @@ from .engine import (
     UNUSED_SUPPRESSION,
     Finding,
     LintContext,
-    LintReport,
-    ProjectLintContext,
-    ProjectRule,
     Rule,
     all_rules,
     lint_paths,
-    lint_project,
     lint_source,
     register,
 )
@@ -47,13 +36,9 @@ __all__ = [
     "UNUSED_SUPPRESSION",
     "Finding",
     "LintContext",
-    "LintReport",
-    "ProjectLintContext",
-    "ProjectRule",
     "Rule",
     "all_rules",
     "lint_paths",
-    "lint_project",
     "lint_source",
     "register",
 ]

@@ -4,15 +4,9 @@ Examples::
 
     python -m repro.lint src/
     python -m repro.lint src/repro/dram --format json
-    python -m repro.lint src/ --select conc            # rule family prefix
+    python -m repro.lint src/ --select det             # rule family prefix
     python -m repro.lint src/ --ignore perf-slots
-    python -m repro.lint src/ --format sarif > lint.sarif
-    python -m repro.lint src/ --no-cache
     python -m repro.lint --check-determinism --experiment fig3 --requests 2000
-
-Per-file analyses are cached under the store cache dir keyed on content
-hash and rule-set fingerprint, so warm runs re-parse only changed files;
-the hit/miss tally is printed to stderr (``--no-cache`` bypasses it).
 
 Exit status: 0 clean, 1 findings (or determinism diff), 2 usage error.
 """
@@ -22,10 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from .engine import Finding, all_rules, lint_project
+from .engine import Finding, all_rules, lint_paths
 
 
 def _format_text(findings: List[Finding]) -> str:
@@ -83,14 +76,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="output format (default text)")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the incremental per-file analysis cache")
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="lint cache directory (default: <store cache dir>/lint)")
     parser.add_argument(
         "--select", action="append", metavar="RULES",
         help="comma-separated rule ids to run (default: all)")
@@ -123,40 +110,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.paths:
         parser.error("no paths given (try: python -m repro.lint src/)")
 
-    cache = None
-    if not args.no_cache:
-        from .cache import LintCache, default_lint_cache_dir
-
-        root = Path(args.cache_dir) if args.cache_dir else default_lint_cache_dir()
-        cache = LintCache(root)
-
     try:
-        report = lint_project(
+        findings = lint_paths(
             args.paths,
             select=_split_ids(args.select),
             ignore=_split_ids(args.ignore),
-            cache=cache,
         )
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    findings = report.findings
-    if args.format == "json":
-        output = _format_json(findings)
-    elif args.format == "sarif":
-        from .sarif import render_sarif
-
-        output = render_sarif(findings)
-    else:
-        output = _format_text(findings)
-    print(output)
-    if cache is not None:
-        # stderr so machine-readable stdout payloads stay pure.
-        print(
-            f"cache: {report.cache_hits} hits, {report.cache_misses} misses",
-            file=sys.stderr,
-        )
+    print(_format_json(findings) if args.format == "json" else _format_text(findings))
     return 1 if findings else 0
 
 

@@ -3,19 +3,9 @@
 The linter enforces the repo's reproducibility invariants (seeded RNG
 only, no ambient wall clock in simulation paths, atomic artifact writes,
 ordered iteration before serialization, ``__slots__`` on hot-path
-classes) plus the whole-program concurrency contracts of the engine and
-service layer. The drive is two-phase:
-
-1. **Per-file** — each file is parsed once; the per-file rules run over
-   the tree and a :class:`~repro.lint.graph.ModuleSummary` is extracted
-   for the project phase. Everything produced here depends only on the
-   file's own bytes, so :class:`FileAnalysis` is what the incremental
-   cache persists — a warm run re-parses only changed files.
-2. **Project** — the summaries are joined into a
-   :class:`~repro.lint.graph.ProjectGraph` and the
-   :class:`ProjectRule` subclasses (the ``conc-*`` family) run over the
-   resolved call graph. Project findings are recomputed every run; only
-   the per-file extraction is cached.
+classes). Each file is linted on its own: parse it once, run the
+selected rules over the tree, then filter the findings through the
+file's suppression comments.
 
 Suppressions
 ------------
@@ -43,12 +33,6 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
-
-from .graph import ModuleSummary, ProjectGraph, build_project, extract_summary
-
-#: Bumped when analysis semantics change; part of the cache key, so a
-#: new engine never reuses summaries produced by an old one.
-ENGINE_VERSION = 2
 
 #: Rule id reported for stale suppression comments.
 UNUSED_SUPPRESSION = "lint-unused-suppression"
@@ -85,7 +69,7 @@ class Finding:
 
 @dataclass
 class LintContext:
-    """Everything a per-file rule needs to inspect one file."""
+    """Everything a rule needs to inspect one file."""
 
     path: str
     tree: ast.AST
@@ -125,37 +109,6 @@ class Rule:
         raise NotImplementedError
 
 
-@dataclass
-class ProjectLintContext:
-    """Everything a project rule needs: the resolved call graph."""
-
-    graph: ProjectGraph
-    findings: List[Finding] = field(default_factory=list)
-
-    def report(self, path: str, line: int, col: int,
-               rule_id: str, message: str) -> None:
-        self.findings.append(
-            Finding(path=path, line=line, col=col,
-                    rule_id=rule_id, message=message)
-        )
-
-
-class ProjectRule(Rule):
-    """A rule that runs once over the whole project graph.
-
-    Subclasses implement :meth:`check_project`; the per-file ``check``
-    is a no-op so a mixed registry can be driven uniformly.
-    """
-
-    def check(self, context: LintContext) -> None:
-        return None
-
-    def check_project(
-        self, context: ProjectLintContext
-    ) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 
@@ -174,12 +127,6 @@ def all_rules() -> Dict[str, Type[Rule]]:
     from . import rules  # noqa: F401  (registration side effect)
 
     return dict(_REGISTRY)
-
-
-def rule_fingerprint() -> str:
-    """Identity of the rule set + engine, part of the lint cache key."""
-    names = ",".join(sorted(all_rules()))
-    return f"engine={ENGINE_VERSION};rules={names}"
 
 
 def _module_parts(path: str) -> Tuple[str, ...]:
@@ -249,68 +196,10 @@ def _span_lookup(spans: Sequence[Tuple[int, int]]) -> Dict[int, Tuple[int, int]]
     return lookup
 
 
-@dataclass
-class FileAnalysis:
-    """The cacheable product of the per-file phase for one file."""
-
-    path: str
-    findings: List[Finding] = field(default_factory=list)
-    summary: Optional[ModuleSummary] = None
-    suppressions: Dict[int, Optional[Set[str]]] = field(default_factory=dict)
-    spans: List[Tuple[int, int]] = field(default_factory=list)
-    syntax_error: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "findings": [f.to_dict() for f in self.findings],
-            "summary": self.summary.to_dict() if self.summary else None,
-            "suppressions": {
-                str(line): (None if ids is None else sorted(ids))
-                for line, ids in self.suppressions.items()
-            },
-            "spans": [list(span) for span in self.spans],
-            "syntax_error": self.syntax_error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FileAnalysis":
-        return cls(
-            path=data["path"],
-            findings=[
-                Finding(
-                    path=f["path"], line=f["line"], col=f["col"],
-                    rule_id=f["rule"], message=f["message"],
-                )
-                for f in data["findings"]
-            ],
-            summary=(
-                ModuleSummary.from_dict(data["summary"])
-                if data["summary"] else None
-            ),
-            suppressions={
-                int(line): (None if ids is None else set(ids))
-                for line, ids in data["suppressions"].items()
-            },
-            spans=[tuple(span) for span in data["spans"]],
-            syntax_error=data["syntax_error"],
-        )
-
-
-@dataclass
-class LintReport:
-    """Findings plus the cache tally for a :func:`lint_project` run."""
-
-    findings: List[Finding] = field(default_factory=list)
-    files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-
 def _expand_selectors(
     selectors: Sequence[str], registry: Dict[str, Type[Rule]]
 ) -> List[str]:
-    """Expand family prefixes (``conc`` -> every ``conc-*`` rule)."""
+    """Expand family prefixes (``det`` -> every ``det-*`` rule)."""
     expanded: List[str] = []
     unknown: List[str] = []
     for selector in selectors:
@@ -343,65 +232,16 @@ def _select_rules(
     return [registry[rule_id]() for rule_id in chosen if rule_id in registry]
 
 
-def _analyze_file(source: str, path: str) -> FileAnalysis:
-    """Run the per-file phase for one file (parse, rules, extraction).
-
-    Every registered per-file rule runs regardless of ``--select`` so
-    the analysis is selection-independent — the cache can serve any
-    later selection from the same entry; filtering happens at report
-    time.
-    """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as error:
-        return FileAnalysis(
-            path=path,
-            findings=[
-                Finding(
-                    path=path,
-                    line=error.lineno or 1,
-                    col=(error.offset or 1),
-                    rule_id=SYNTAX_ERROR,
-                    message=f"file does not parse: {error.msg}",
-                )
-            ],
-            syntax_error=True,
-        )
-    context = LintContext(
-        path=path, tree=tree, source=source, module_parts=_module_parts(path)
-    )
-    for rule_class in all_rules().values():
-        if not issubclass(rule_class, ProjectRule):
-            rule_class().check(context)
-    return FileAnalysis(
-        path=path,
-        findings=context.findings,
-        summary=extract_summary(tree, path),
-        suppressions=_parse_suppressions(source),
-        spans=_statement_spans(tree),
-    )
-
-
-def _run_project_rules(
-    analyses: Sequence[FileAnalysis], rules: Sequence[Rule]
-) -> List[Finding]:
-    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
-    if not project_rules:
-        return []
-    summaries = [a.summary for a in analyses if a.summary is not None]
-    context = ProjectLintContext(graph=build_project(summaries))
-    for rule in project_rules:
-        rule.check_project(context)
-    return context.findings
-
-
 def _apply_suppressions(
-    analysis: FileAnalysis,
+    path: str,
+    tree: ast.AST,
+    source: str,
     findings: Sequence[Finding],
     check_unused: bool,
 ) -> List[Finding]:
-    """Filter one file's findings through its suppression table."""
-    lookup = _span_lookup(analysis.spans)
+    """Filter one file's findings through its suppression comments."""
+    suppressions = _parse_suppressions(source)
+    lookup = _span_lookup(_statement_spans(tree))
     used_lines: Set[int] = set()
     kept: List[Finding] = []
     for finding in findings:
@@ -414,9 +254,9 @@ def _apply_suppressions(
             )
         matched: Optional[int] = None
         for candidate in candidates:
-            if candidate not in analysis.suppressions:
+            if candidate not in suppressions:
                 continue
-            allowed = analysis.suppressions[candidate]
+            allowed = suppressions[candidate]
             if allowed is None or finding.rule_id in allowed:
                 matched = candidate
                 break
@@ -425,12 +265,12 @@ def _apply_suppressions(
         else:
             kept.append(finding)
     if check_unused:
-        for line in sorted(set(analysis.suppressions) - used_lines):
-            ids = analysis.suppressions[line]
+        for line in sorted(set(suppressions) - used_lines):
+            ids = suppressions[line]
             label = "all rules" if ids is None else ", ".join(sorted(ids))
             kept.append(
                 Finding(
-                    path=analysis.path,
+                    path=path,
                     line=line,
                     col=1,
                     rule_id=UNUSED_SUPPRESSION,
@@ -438,6 +278,30 @@ def _apply_suppressions(
                 )
             )
     return kept
+
+
+def _lint_file(
+    source: str, path: str, rules: Sequence[Rule], check_unused: bool
+) -> List[Finding]:
+    """Parse one file, run ``rules`` over it and apply its suppressions."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as error:
+        return [
+            Finding(
+                path=path,
+                line=error.lineno or 1,
+                col=(error.offset or 1),
+                rule_id=SYNTAX_ERROR,
+                message=f"file does not parse: {error.msg}",
+            )
+        ]
+    context = LintContext(
+        path=path, tree=tree, source=source, module_parts=_module_parts(path)
+    )
+    for rule in rules:
+        rule.check(context)
+    return _apply_suppressions(path, tree, source, context.findings, check_unused)
 
 
 def _check_unused(
@@ -448,37 +312,15 @@ def _check_unused(
     ) and UNUSED_SUPPRESSION not in set(ignore or [])
 
 
-def _selected_file_findings(
-    analysis: FileAnalysis, rules: Sequence[Rule]
-) -> List[Finding]:
-    """The analysis' findings narrowed to the selected per-file rules."""
-    wanted = {
-        rule.rule_id for rule in rules if not isinstance(rule, ProjectRule)
-    }
-    wanted.add(SYNTAX_ERROR)
-    return [f for f in analysis.findings if f.rule_id in wanted]
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint one file's contents; returns sorted findings.
-
-    Project rules run too, over the one-file project — cross-file
-    resolution is unavailable but same-file concurrency hazards (and
-    the rule fixtures) are checked exactly as in a full run.
-    """
+    """Lint one file's contents; returns sorted findings."""
     rules = _select_rules(select, ignore)
-    analysis = _analyze_file(source, path)
-    findings = _selected_file_findings(analysis, rules)
-    if not analysis.syntax_error:
-        findings.extend(_run_project_rules([analysis], rules))
-    return sorted(
-        _apply_suppressions(analysis, findings, _check_unused(select, ignore))
-    )
+    return sorted(_lint_file(source, path, rules, _check_unused(select, ignore)))
 
 
 def iter_python_files(paths: Iterable[str]) -> List[Path]:
@@ -495,58 +337,16 @@ def iter_python_files(paths: Iterable[str]) -> List[Path]:
     return sorted(seen)
 
 
-def lint_project(
-    paths: Iterable[str],
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-    cache: Optional["LintCache"] = None,
-) -> LintReport:
-    """Two-phase lint of every ``.py`` file under ``paths``.
-
-    With a :class:`~repro.lint.cache.LintCache`, per-file analyses are
-    looked up by (content sha, rule fingerprint) and only missing files
-    are parsed; the report carries the hit/miss tally.
-    """
-    rules = _select_rules(select, ignore)
-    analyses: List[FileAnalysis] = []
-    report = LintReport()
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        path = file_path.as_posix()
-        analysis: Optional[FileAnalysis] = None
-        if cache is not None:
-            analysis = cache.get(path, source)
-        if analysis is None:
-            analysis = _analyze_file(source, path)
-            report.cache_misses += 1
-            if cache is not None and not analysis.syntax_error:
-                cache.put(path, source, analysis)
-        else:
-            report.cache_hits += 1
-        analyses.append(analysis)
-    report.files = len(analyses)
-
-    project_findings = _run_project_rules(analyses, rules)
-    by_path: Dict[str, List[Finding]] = {}
-    for finding in project_findings:
-        by_path.setdefault(finding.path, []).append(finding)
-
-    check_unused = _check_unused(select, ignore)
-    for analysis in analyses:
-        findings = _selected_file_findings(analysis, rules)
-        findings.extend(by_path.get(analysis.path, []))
-        report.findings.extend(
-            _apply_suppressions(analysis, findings, check_unused)
-        )
-    report.findings.sort()
-    return report
-
-
 def lint_paths(
     paths: Iterable[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    cache: Optional["LintCache"] = None,
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``; returns sorted findings."""
-    return lint_project(paths, select=select, ignore=ignore, cache=cache).findings
+    rules = _select_rules(select, ignore)
+    check_unused = _check_unused(select, ignore)
+    findings: List[Finding] = []
+    for file_path in iter_python_files(paths):
+        source = file_path.read_text(encoding="utf-8")
+        findings.extend(_lint_file(source, file_path.as_posix(), rules, check_unused))
+    return sorted(findings)

@@ -1,5 +1,5 @@
 """Built-in rule modules; importing this package registers every rule."""
 
-from . import api, concurrency, determinism, io, perf  # noqa: F401
+from . import api, determinism, io, perf  # noqa: F401
 
-__all__ = ["api", "concurrency", "determinism", "io", "perf"]
+__all__ = ["api", "determinism", "io", "perf"]

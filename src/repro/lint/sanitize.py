@@ -1,6 +1,6 @@
 """Runtime sanitizers: invariant checks the AST linter cannot prove.
 
-Four tools live here:
+Two tools live here:
 
 * :class:`TraceInvariantChecker` — validates every request flowing into
   a simulation driver (monotonic timestamps, non-negative aligned
@@ -9,38 +9,23 @@ Four tools live here:
   ``--sanitize`` flag of ``python -m repro.eval``) turns checking on for
   every driver in the process; a driver-level ``sanitize=`` argument
   overrides per call.
-* :class:`LockOrderChecker` — the runtime half of ``conc-lock-order``:
-  records the lock-acquisition graph actually observed (per-thread held
-  stacks feeding held→acquired edges) and flags a cycle the moment the
-  closing edge is inserted — *before* the schedule that would deadlock
-  on it ever runs. Enabled via :func:`enable_lock_order_check` (or
-  ``serve --lock-order-check``); when off, :func:`make_lock` hands out
-  plain ``threading.Lock`` objects, so the disabled path costs nothing.
-* :class:`LoopStallMonitor` — the runtime half of
-  ``conc-blocking-in-async``: a heartbeat callback on the service event
-  loop measures scheduling lag; any callback (or accidental blocking
-  call) that hogs the loop longer than the threshold delays the
-  heartbeat and is recorded as a stall.
 * :func:`check_determinism` — the double-run harness behind
   ``python -m repro.lint --check-determinism``: runs one experiment
   twice in-process and diffs the canonical JSON of the results. Any
   leaked global state (an unseeded RNG, order-dependent accumulation)
   shows up as a byte diff.
 
-Sanitizing never changes results: every checker only *observes* (the
-request stream, the acquisition order, the loop's timing), so a clean
-run produces bit-identical statistics with checking on or off.
+Sanitizing never changes results: the checker only *observes* the
+request stream, so a clean run produces bit-identical statistics with
+checking on or off.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
-from .. import obs
 from ..core.request import MemoryRequest, Operation
-from ..store import locks as _store_locks
 
 
 class InvariantViolation(RuntimeError):
@@ -160,246 +145,6 @@ def make_checker(label: str) -> Optional[TraceInvariantChecker]:
     if _ACTIVE_CONFIG is None:
         return None
     return TraceInvariantChecker(label=label, **_ACTIVE_CONFIG)
-
-
-# -- lock-order sanitizer ----------------------------------------------------
-
-
-class LockOrderChecker:
-    """Cycle detection over the observed lock-acquisition graph.
-
-    Each thread keeps a stack of the named locks it currently holds;
-    acquiring ``B`` while holding ``A`` inserts the edge ``A → B``. A
-    violation is recorded when the *closing* edge of a cycle appears —
-    some earlier schedule acquired the locks in the opposite order — or
-    when a thread re-acquires a non-reentrant lock it already holds.
-    This catches latent deadlocks from any interleaving that exercises
-    both orders, without needing the deadlocking schedule itself.
-
-    Observation-only: violations are recorded (and mirrored to
-    ``repro.obs`` when a registry is active), never raised, so a
-    sanitized run completes and reports at shutdown.
-    """
-
-    __slots__ = ("violations", "acquisitions", "_edges", "_local", "_lock")
-
-    def __init__(self) -> None:
-        self.violations: List[str] = []
-        self.acquisitions = 0
-        self._edges: Dict[str, Set[str]] = {}
-        self._local = threading.local()
-        self._lock = threading.Lock()
-
-    def _stack(self) -> List[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _reaches(self, start: str, goal: str) -> bool:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            if node == goal:
-                return True
-            for nxt in self._edges.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
-
-    def _record(self, message: str) -> None:
-        self.violations.append(message)
-        registry = obs.active()
-        if registry is not None:
-            registry.counter("sanitize.lock_order.violations").inc()
-            registry.event("sanitize.lock_order.violation", detail=message)
-
-    def acquired(self, name: str) -> None:
-        """Record that the calling thread now holds ``name``."""
-        stack = self._stack()
-        with self._lock:
-            self.acquisitions += 1
-            if name in stack:
-                self._record(
-                    f"re-entrant acquisition of {name} "
-                    f"(already held by this thread; held stack: {stack})"
-                )
-            else:
-                for held in stack:
-                    targets = self._edges.setdefault(held, set())
-                    if name in targets:
-                        continue
-                    if self._reaches(name, held):
-                        self._record(
-                            f"lock order cycle: acquiring {name} while "
-                            f"holding {held}, but an earlier schedule "
-                            f"acquired {held} while holding {name}"
-                        )
-                    targets.add(name)
-            registry = obs.active()
-            if registry is not None:
-                registry.counter("sanitize.lock_order.acquisitions").inc()
-        stack.append(name)
-
-    def released(self, name: str) -> None:
-        """Record that the calling thread released ``name``."""
-        stack = self._stack()
-        for index in range(len(stack) - 1, -1, -1):
-            if stack[index] == name:
-                del stack[index]
-                return
-
-    def edge_count(self) -> int:
-        with self._lock:
-            return sum(len(targets) for targets in self._edges.values())
-
-    def report(self) -> dict:
-        with self._lock:
-            return {
-                "acquisitions": self.acquisitions,
-                "edges": sum(len(t) for t in self._edges.values()),
-                "violations": list(self.violations),
-            }
-
-
-class TrackedLock:
-    """A named ``threading.Lock`` that reports to a lock-order checker.
-
-    Drop-in for the subset of the ``Lock`` API the repo uses (context
-    manager, ``acquire``/``release``/``locked``). Handed out by
-    :func:`make_lock` only while checking is enabled; the disabled path
-    gets a plain ``threading.Lock`` and pays nothing.
-    """
-
-    __slots__ = ("name", "_inner", "_checker")
-
-    def __init__(self, name: str, checker: LockOrderChecker) -> None:
-        self.name = name
-        self._inner = threading.Lock()
-        self._checker = checker
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        ok = self._inner.acquire(blocking, timeout)
-        if ok:
-            self._checker.acquired(self.name)
-        return ok
-
-    def release(self) -> None:
-        self._checker.released(self.name)
-        self._inner.release()
-
-    def locked(self) -> bool:
-        return self._inner.locked()
-
-    def __enter__(self) -> "TrackedLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-
-_LOCK_CHECKER: Optional[LockOrderChecker] = None
-
-
-def enable_lock_order_check() -> LockOrderChecker:
-    """Install a process-wide lock-order checker (and return it).
-
-    Also hooks the store's :class:`~repro.store.locks.FileLock` so
-    cross-process compute locks join the in-process acquisition graph
-    as the single ``repro.store.locks.FileLock`` hierarchy level.
-    """
-    global _LOCK_CHECKER
-    _LOCK_CHECKER = LockOrderChecker()
-    _store_locks.set_lock_observer(_LOCK_CHECKER)
-    return _LOCK_CHECKER
-
-
-def disable_lock_order_check() -> None:
-    """Tear the lock-order checker back down."""
-    global _LOCK_CHECKER
-    _LOCK_CHECKER = None
-    _store_locks.set_lock_observer(None)
-
-
-def lock_order_checker() -> Optional[LockOrderChecker]:
-    """The active checker, or ``None`` when lock-order checking is off."""
-    return _LOCK_CHECKER
-
-
-def make_lock(name: str) -> Any:
-    """A lock for ``name``: tracked when checking is on, plain when off."""
-    checker = _LOCK_CHECKER
-    if checker is None:
-        return threading.Lock()
-    return TrackedLock(name, checker)
-
-
-# -- event-loop stall monitor ------------------------------------------------
-
-
-class LoopStallMonitor:
-    """Detect event-loop stalls via heartbeat scheduling lag.
-
-    A ``call_later`` heartbeat reschedules itself every ``interval``
-    seconds; the loop can only run it late if some callback (or an
-    accidental blocking call — exactly what ``conc-blocking-in-async``
-    proves statically) hogged the loop in between. Lag beyond
-    ``threshold`` seconds is recorded as a stall. Runs entirely on the
-    loop, so it needs no locking, and it observes only timing — the
-    served byte stream is untouched.
-    """
-
-    __slots__ = ("threshold", "interval", "ticks", "stalls", "max_lag",
-                 "_loop", "_handle")
-
-    def __init__(self, threshold: float = 0.25, interval: float = 0.05) -> None:
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        self.threshold = threshold
-        self.interval = interval
-        self.ticks = 0
-        self.stalls: List[float] = []
-        self.max_lag = 0.0
-        self._loop: Any = None
-        self._handle: Any = None
-
-    def start(self, loop: Any) -> None:
-        """Begin heartbeating on ``loop`` (call from the loop thread)."""
-        self._loop = loop
-        self._schedule()
-
-    def _schedule(self) -> None:
-        expected = self._loop.time() + self.interval
-        self._handle = self._loop.call_later(self.interval, self._tick, expected)
-
-    def _tick(self, expected: float) -> None:
-        lag = self._loop.time() - expected
-        self.ticks += 1
-        if lag > self.max_lag:
-            self.max_lag = lag
-        if lag > self.threshold:
-            self.stalls.append(round(lag, 6))
-            registry = obs.active()
-            if registry is not None:
-                registry.counter("sanitize.loop.stalls").inc()
-                registry.event("sanitize.loop.stall", lag_seconds=round(lag, 6))
-        self._schedule()
-
-    def stop(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def report(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "threshold_seconds": self.threshold,
-            "max_lag_seconds": round(self.max_lag, 6),
-            "stalls": list(self.stalls),
-        }
 
 
 # -- determinism double-run harness -----------------------------------------

@@ -35,15 +35,11 @@ from .registry import (
     Counter,
     Gauge,
     Histogram,
-    JobTimer,
     MetricsRegistry,
-    QueueGauges,
     active,
     disable,
     enable,
-    job_timer,
     phase,
-    queue_gauges,
 )
 
 __all__ = [
@@ -51,21 +47,17 @@ __all__ = [
     "EventSink",
     "Gauge",
     "Histogram",
-    "JobTimer",
     "JsonlEventSink",
     "MemoryEventSink",
     "MetricsRegistry",
     "PeakMemoryTracker",
-    "QueueGauges",
     "active",
     "build_manifest",
     "disable",
     "enable",
     "host_info",
-    "job_timer",
     "measure_peak_memory",
     "phase",
-    "queue_gauges",
     "wall_time",
     "write_manifest",
 ]

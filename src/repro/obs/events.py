@@ -36,9 +36,8 @@ class JsonlEventSink(EventSink):
     Each event is written with a single ``write`` call and flushed
     immediately, so a crashed or killed run keeps every event up to the
     failure point — the whole reason to stream instead of dumping at
-    exit. Scheduler workers and the service loop share one sink, so
-    ``emit`` serializes under a lock: without it two lines can
-    interleave mid-buffer and the ``emitted`` tally drops updates.
+    exit. ``emit`` serializes under a lock so threads sharing one sink
+    never interleave two lines mid-buffer or drop ``emitted`` updates.
     """
 
     def __init__(self, path: Union[str, Path]):

@@ -5,9 +5,9 @@ The registry is the in-process half of the observability layer
 construction or at the top of a run) via :func:`active` and holds on to
 handle objects; the handles are plain ``__slots__`` objects whose update
 methods are one short critical section, so instrumentation stays cheap
-when enabled while staying exact under the engine/service layer's
-thread concurrency (``x += 1`` is a LOAD/ADD/STORE triple under the
-GIL and loses updates when preempted mid-read).
+when enabled while staying exact if handles are updated from several
+threads (``x += 1`` is a LOAD/ADD/STORE triple under the GIL and loses
+updates when preempted mid-read).
 
 When no registry is active, :func:`active` returns ``None`` and every
 instrumentation site degrades to one ``is None`` test — the disabled
@@ -101,67 +101,6 @@ class Histogram:
         }
 
 
-class QueueGauges:
-    """Paired ``queue_depth``/``inflight`` gauges for one bounded queue.
-
-    The service layer's two load signals as one handle: how many jobs
-    are waiting (``<prefix>.queue_depth``) and how many are executing
-    (``<prefix>.inflight``). Updates go through :meth:`Gauge.add` —
-    the queue is fed from the submitting thread and drained by workers,
-    so the read-modify-write must be atomic; construct via
-    :func:`queue_gauges`, which returns ``None`` when observability is
-    off (the zero-cost disabled path).
-    """
-
-    __slots__ = ("depth", "inflight")
-
-    def __init__(self, registry: "MetricsRegistry", prefix: str) -> None:
-        self.depth = registry.gauge(f"{prefix}.queue_depth")
-        self.inflight = registry.gauge(f"{prefix}.inflight")
-
-    def enqueued(self) -> None:
-        self.depth.add(1)
-
-    def dequeued(self) -> None:
-        """A queued item left without running (rejected late / cancelled)."""
-        self.depth.add(-1)
-
-    def started(self) -> None:
-        self.depth.add(-1)
-        self.inflight.add(1)
-
-    def finished(self) -> None:
-        self.inflight.add(-1)
-
-
-class JobTimer:
-    """Context manager timing one job: histogram + accumulated phase.
-
-    Records the elapsed wall time into the ``<name>.seconds`` histogram
-    (count/sum/min/max/mean across jobs of that name) and accumulates
-    it into the ``<name>`` phase total, so both the distribution and
-    the aggregate land in manifests without hand-rolled timing code.
-    Construct via :func:`job_timer`, which returns ``None`` when
-    observability is off.
-    """
-
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "JobTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        elapsed = time.perf_counter() - self._start
-        self._registry.histogram(f"{self._name}.seconds").observe(elapsed)
-        self._registry.add_phase_time(self._name, elapsed)
-
-
 class _PhaseScope:
     """Context manager recording wall time for one phase entry."""
 
@@ -186,11 +125,10 @@ class _PhaseScope:
 class MetricsRegistry:
     """Named counters/gauges/histograms plus per-phase wall-clock timers.
 
-    Get-or-create and phase accumulation are guarded by ``_lock`` — the
-    scheduler's worker threads and the service's event loop both mint
-    handles by name, and an unguarded ``dict.get``/store pair can hand
-    two racing callers two different handles for the same name (one of
-    which then silently drops every update).
+    Get-or-create and phase accumulation are guarded by ``_lock`` — an
+    unguarded ``dict.get``/store pair can hand two threads racing on
+    the same name two different handles (one of which then silently
+    drops every update).
     """
 
     __slots__ = ("sink", "_counters", "_gauges", "_histograms", "_phases",
@@ -313,23 +251,6 @@ def disable() -> None:
     if _active is not None:
         _active.close()
     _active = None
-
-
-def queue_gauges(prefix: str) -> Optional[QueueGauges]:
-    """A :class:`QueueGauges` pair on the active registry, or ``None``.
-
-    The ``None`` return is the whole disabled path — call sites keep
-    the repo-standard single ``is None`` test and pay nothing when
-    observability is off.
-    """
-    registry = _active
-    return QueueGauges(registry, prefix) if registry is not None else None
-
-
-def job_timer(name: str) -> Optional[JobTimer]:
-    """A :class:`JobTimer` on the active registry, or ``None`` when off."""
-    registry = _active
-    return JobTimer(registry, name) if registry is not None else None
 
 
 class _NullScope:

@@ -14,15 +14,10 @@ wedges the cache. Correctness under a broken lock degrades gracefully —
 two computes of a deterministic job store byte-equal payloads, and blob
 writes are atomic, so the worst case is wasted work, never a torn read.
 
-Lock-ordering contract (checked statically by ``conc-lock-order`` and at
-runtime by the sanitizer in :mod:`repro.lint.sanitize`): the per-key
-:class:`FileLock` is the *outermost* level of the repo's lock hierarchy.
-It may be held across compute-and-store (that is its job), and the
-engine's in-process leaf locks may be taken underneath it — but no code
-may acquire a :class:`FileLock` while holding any in-process lock, and
-the analyzer models every ``FileLock`` as one hierarchy node
-(``repro.store.locks.FileLock``) so an inversion against the scheduler's
-locks is reported regardless of which cache key is involved.
+Lock-ordering rule: the per-key :class:`FileLock` is the *outermost*
+lock in the repo. It may be held across compute-and-store (that is its
+job), but no code may acquire a :class:`FileLock` while holding an
+in-process lock.
 """
 
 from __future__ import annotations
@@ -30,28 +25,9 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from ..obs.clock import wall_time
-
-#: The single hierarchy node every FileLock reports as (see module doc).
-_OBSERVER_NODE = "repro.store.locks.FileLock"
-
-_observer: Optional[Any] = None
-
-
-def set_lock_observer(observer: Optional[Any]) -> None:
-    """Install (or clear) the acquisition observer for every FileLock.
-
-    The observer — in practice the lock-order sanitizer
-    (:class:`repro.lint.sanitize.LockOrderChecker`) — receives
-    ``acquired(name)`` / ``released(name)`` callbacks with the static
-    hierarchy node name. Observation-only: it must not block or raise.
-    The default (``None``) path costs one global read per acquire.
-    """
-    global _observer
-    _observer = observer
-
 
 class LockTimeout(TimeoutError):
     """Waited longer than ``timeout`` seconds for a lock."""
@@ -142,9 +118,6 @@ class FileLock:
         deadline = time.monotonic() + self.timeout
         while True:
             if self._try_create():
-                observer = _observer
-                if observer is not None:
-                    observer.acquired(_OBSERVER_NODE)
                 return True
             if self._is_stale():
                 self._break_stale()
@@ -159,9 +132,6 @@ class FileLock:
         if not self._held:
             return
         self._held = False
-        observer = _observer
-        if observer is not None:
-            observer.released(_OBSERVER_NODE)
         try:
             self.path.unlink()
         except FileNotFoundError:  # pragma: no cover - broken as stale

@@ -149,10 +149,9 @@ class ExperimentMemo:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-        # One memo is shared by every scheduler worker thread; the
-        # tallies are read-modify-write and need a leaf lock (never
-        # held across I/O — see the lock-ordering contract in
-        # repro.store.locks).
+        # The tallies are read-modify-write, so threads sharing one memo
+        # need a leaf lock (never held across I/O — see the lock-ordering
+        # rule in repro.store.locks).
         self._tally_lock = threading.Lock()
 
     # -- key index -----------------------------------------------------------

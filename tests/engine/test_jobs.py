@@ -1,135 +1,20 @@
-"""The job model: registry dispatch, wire adaptation, payload summaries."""
+"""The job model: registry dispatch and cache installation."""
 
 import dataclasses
 
 import pytest
 
-from repro.engine import (
-    DramJob,
-    JobValidationError,
-    ProfileJob,
-    SampleJob,
-    SpecJob,
-    SynthesizeJob,
-    execute_job,
-    install,
-    is_cached,
-    job_from_wire,
-    validate_job,
-    wire_kinds,
-    wire_payload,
-)
+from repro.engine import DramJob, execute_job, install, is_cached
 from repro.eval import comparison
 
 REQUESTS = 400
 
 
-# ---------------------------------------------------------------------------
-# Wire construction / validation
-# ---------------------------------------------------------------------------
-
-
-def test_wire_kinds_cover_the_service_vocabulary():
-    # Subset, not equality: other test modules may register extra kinds.
-    assert {"evaluate", "profile", "sample", "synthesize"} <= set(wire_kinds())
-
-
-def test_job_from_wire_builds_each_kind():
-    assert job_from_wire("evaluate", {"name": "trex1"}) == DramJob("trex1")
-    assert job_from_wire("profile", {"name": "trex1", "num_requests": 77}) == (
-        ProfileJob("trex1", 77)
-    )
-    assert job_from_wire("synthesize", {"name": "hevc1"}) == SynthesizeJob("hevc1")
-    assert job_from_wire("sample", {"name": "hevc1", "k": 3}) == SampleJob(
-        "hevc1", k=3
-    )
-
-
-def test_job_from_wire_defaults_match_dataclass_defaults():
-    job = job_from_wire("evaluate", {"name": "trex1"})
-    assert job.num_requests == DramJob("x").num_requests
-    assert job.interval == DramJob("x").interval
-    assert job.include_stm is True
-
-
-@pytest.mark.parametrize(
-    "kind, params",
-    [
-        ("no-such-kind", {}),
-        ("evaluate", {"name": "trex1", "bogus_field": 1}),
-        ("evaluate", {"name": "no-such-workload"}),
-        ("evaluate", {"name": "trex1", "num_requests": 0}),
-        ("evaluate", {"name": "trex1", "num_requests": -5}),
-        ("evaluate", {"name": "trex1", "interval": 0}),
-        ("evaluate", {"name": "trex1", "num_requests": True}),
-        ("evaluate", {"name": "trex1", "num_requests": 10.5}),
-        ("evaluate", {}),  # missing required field
-        ("sample", {"name": "trex1", "k": 0}),
-    ],
-)
-def test_job_from_wire_rejects_bad_requests(kind, params):
-    with pytest.raises(JobValidationError):
-        job_from_wire(kind, params)
-
-
-def test_job_from_wire_coerces_integral_floats():
-    # JSON clients in float-only languages send 2000.0; that is an int.
-    job = job_from_wire("profile", {"name": "trex1", "num_requests": 2000.0})
-    assert job.num_requests == 2000
-    assert isinstance(job.num_requests, int)
-
-
-def test_validate_job_accepts_constructed_jobs():
-    validate_job(DramJob("trex1", REQUESTS))
-    with pytest.raises(JobValidationError):
-        validate_job(DramJob("trex1", -1))
-
-
 def test_jobs_are_frozen_and_hashable():
-    job = ProfileJob("trex1", REQUESTS)
+    job = DramJob("trex1", REQUESTS)
     with pytest.raises(dataclasses.FrozenInstanceError):
         job.name = "other"
-    assert len({job, ProfileJob("trex1", REQUESTS)}) == 1
-
-
-# ---------------------------------------------------------------------------
-# Execution + payload summaries
-# ---------------------------------------------------------------------------
-
-
-def test_profile_job_payload_is_deterministic():
-    job = ProfileJob("trex1", REQUESTS)
-    _, first = execute_job(job)
-    _, second = execute_job(job)
-    assert first == second
-    assert first["leaves"] > 0
-    assert first["profiled_requests"] == REQUESTS
-    assert len(first["sha256"]) == 64
-    assert wire_payload(job, first) == first
-
-
-def test_synthesize_job_payload_tracks_seed():
-    job = SynthesizeJob("trex1", REQUESTS)
-    _, payload = execute_job(job)
-    assert payload["synthetic_requests"] > 0
-    assert payload["reads"] + payload["writes"] == payload["synthetic_requests"]
-    _, reseeded = execute_job(SynthesizeJob("trex1", REQUESTS, synthesis_seed=7))
-    assert reseeded["sha256"] != payload["sha256"]
-
-
-def test_dram_job_wire_summary_has_metric_slices():
-    job = DramJob("trex1", REQUESTS)
-    _, payload = execute_job(job)
-    summary = wire_payload(job, payload)
-    assert summary["name"] == "trex1"
-    assert set(summary) >= {"baseline", "mcc", "stm", "device"}
-    assert summary["baseline"]["read_bursts"] > 0
-    assert summary["mcc"]["avg_access_latency"] > 0
-
-
-def test_wire_payload_falls_back_to_repr_without_summary():
-    job = SpecJob("gobmk", REQUESTS)
-    assert wire_payload(job, object())["repr"].startswith("<object")
+    assert len({job, DramJob("trex1", REQUESTS)}) == 1
 
 
 def test_install_round_trip_marks_cached():
@@ -143,3 +28,12 @@ def test_install_round_trip_marks_cached():
     # The installed payload is exactly what the runner now reads.
     assert comparison.dram_comparison("trex1", REQUESTS) is payload
     comparison.clear_cache()
+
+
+def test_unregistered_job_type_is_rejected():
+    @dataclasses.dataclass(frozen=True)
+    class Unregistered:
+        name: str
+
+    with pytest.raises(TypeError, match="unknown job type"):
+        execute_job(Unregistered("x"))

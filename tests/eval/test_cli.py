@@ -48,6 +48,31 @@ class TestEvalCLI:
         with pytest.raises(SystemExit):
             main(["run", "fig99"])
 
+    @pytest.mark.parametrize("command", [
+        ["run", "fig6", "--requests", "-5"],
+        ["run", "fig6", "--requests", "0"],
+        ["quick", "fig6", "--jobs", "0"],
+        ["all", "--requests", "0"],
+        ["quick", "fig6", "--sample-intervals", "0"],
+        ["quick", "fig6", "--block-requests", "0"],
+        ["run", "fig6", "--requests", "many"],
+        ["stream", "trace.mtr", "--jobs", "-1"],
+        ["stream", "trace.mtr", "--block-requests", "0"],
+        ["stream", "trace.mtr", "--sample-intervals", "0"],
+    ], ids=" ".join)
+    def test_non_positive_counts_are_usage_errors(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command)
+        assert exit_info.value.code == 2
+        flag = next(arg for arg in command if arg.startswith("--"))
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_serve_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
     def test_quick_with_metrics_and_events(self, tmp_path, capsys):
         import json
 

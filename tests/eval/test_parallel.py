@@ -6,6 +6,9 @@ runners must return bit-identical results. These tests run at a tiny
 request count so the parallel path (real worker processes) stays fast.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.eval import comparison, experiments
@@ -195,3 +198,87 @@ def test_prewarm_merges_worker_results_into_runner_caches():
     assert executed == len(jobs) - len(subset)
     assert counters["eval.jobs.cached"] == len(subset)
     assert counters["eval.jobs.executed"] == len(jobs) - len(subset)
+
+
+# ---------------------------------------------------------------------------
+# Per-key lock protocol: a job another holder is computing
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def memo(tmp_path):
+    from repro import store
+
+    yield store.configure(tmp_path)
+    store.deactivate()
+
+
+def _contended_by_holder(memo, job, monkeypatch, before_release):
+    """Hold ``job``'s lock as another holder would, until prewarm has
+    found it contended; then run ``before_release`` and release.
+
+    Returns the holder thread and the jobs prewarm saw as contended.
+    """
+    prewarm_module = sys.modules["repro.engine.prewarm"]
+    lock = memo.lock(job)
+    assert lock.acquire(block=False)
+    partitioned = threading.Event()
+    contended_seen = []
+    partition = prewarm_module._partition_by_lock
+
+    def spy(todo, memo_):
+        claimed, contended = partition(todo, memo_)
+        contended_seen.extend(contended)
+        partitioned.set()
+        return claimed, contended
+
+    def holder():
+        partitioned.wait(30)
+        before_release()
+        lock.release()
+
+    monkeypatch.setattr(prewarm_module, "_partition_by_lock", spy)
+    thread = threading.Thread(target=holder)
+    thread.start()
+    return thread, contended_seen
+
+
+def test_prewarm_waits_for_holder_and_installs_its_payload(memo, tmp_path, monkeypatch):
+    job = DramJob("hevc1", REQUESTS)
+    stored = {"stored_by": "holder"}  # a recompute would not produce this
+    thread, contended = _contended_by_holder(
+        memo, job, monkeypatch, lambda: memo.store(job, stored)
+    )
+    try:
+        assert prewarm([job], processes=1) == 0
+    finally:
+        thread.join(30)
+    assert not thread.is_alive()
+    assert contended == [job]
+    assert comparison.dram_comparison("hevc1", REQUESTS) == stored
+    assert list((tmp_path / "locks").iterdir()) == []
+
+
+def test_prewarm_computes_under_lock_when_holder_stores_nothing(
+    memo, tmp_path, monkeypatch
+):
+    job = DramJob("hevc1", REQUESTS)
+    prewarm_module = sys.modules["repro.engine.prewarm"]
+    execute = prewarm_module.execute_job
+    lock_held_during_compute = []
+
+    def spy_execute(job_):
+        lock_held_during_compute.append(memo.lock(job_).path.exists())
+        return execute(job_)
+
+    monkeypatch.setattr(prewarm_module, "execute_job", spy_execute)
+    thread, contended = _contended_by_holder(memo, job, monkeypatch, lambda: None)
+    try:
+        assert prewarm([job], processes=1) == 1
+    finally:
+        thread.join(30)
+    assert not thread.is_alive()
+    assert contended == [job]
+    assert lock_held_during_compute == [True]
+    assert memo.fetch(job) is not None
+    assert list((tmp_path / "locks").iterdir()) == []

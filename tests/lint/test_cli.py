@@ -12,7 +12,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO = "tests/lint/fixtures/cli_demo.py"
 GOLDEN = FIXTURES / "cli_golden.json"
-GOLDEN_SARIF = FIXTURES / "cli_golden.sarif"
 
 
 def run_lint(*args, cwd=REPO_ROOT):
@@ -28,36 +27,6 @@ def test_json_output_matches_golden():
     result = run_lint(DEMO, "--format", "json")
     assert result.returncode == 1, result.stderr
     assert json.loads(result.stdout) == json.loads(GOLDEN.read_text())
-
-
-def test_sarif_output_matches_golden_byte_for_byte():
-    # The export carries no timestamps, versions, or absolute paths, so
-    # it must reproduce exactly — same guarantee the replay output has.
-    result = run_lint(DEMO, "--format", "sarif", "--no-cache")
-    assert result.returncode == 1, result.stderr
-    assert result.stdout == GOLDEN_SARIF.read_text()
-
-
-def test_sarif_run_declares_its_rules():
-    result = run_lint(DEMO, "--format", "sarif", "--no-cache")
-    payload = json.loads(result.stdout)
-    assert payload["version"] == "2.1.0"
-    run = payload["runs"][0]
-    declared = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    fired = {res["ruleId"] for res in run["results"]}
-    assert fired == set(declared) == {"det-float-compare", "det-wall-clock"}
-    for res in run["results"]:
-        assert declared[res["ruleIndex"]] == res["ruleId"]
-
-
-def test_cache_tally_lands_on_stderr(tmp_path):
-    cold = run_lint(DEMO, "--cache-dir", str(tmp_path / "lint-cache"))
-    assert "cache: 0 hits, 1 misses" in cold.stderr
-    warm = run_lint(DEMO, "--cache-dir", str(tmp_path / "lint-cache"))
-    assert "cache: 1 hits, 0 misses" in warm.stderr
-    assert warm.stdout == cold.stdout
-    nocache = run_lint(DEMO, "--no-cache")
-    assert "cache:" not in nocache.stderr
 
 
 def test_text_output_reports_counts_and_locations():
@@ -112,3 +81,9 @@ def test_check_determinism_subcommand_passes():
     result = run_lint("--check-determinism", "--requests", "200")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "determinism check passed" in result.stdout
+
+
+def test_sarif_format_is_a_usage_error():
+    result = run_lint(DEMO, "--format", "sarif")
+    assert result.returncode == 2
+    assert "argument --format" in result.stderr

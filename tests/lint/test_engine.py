@@ -62,11 +62,6 @@ def test_all_rules_registry_is_stable():
     assert set(rules) == {
         "api-mutable-default",
         "api-star-import",
-        "conc-await-under-lock",
-        "conc-blocking-in-async",
-        "conc-fork-after-threads",
-        "conc-lock-order",
-        "conc-unguarded-shared-state",
         "det-float-compare",
         "det-set-iteration",
         "det-unseeded-random",

@@ -21,28 +21,6 @@ def test_repo_source_is_lint_clean():
     assert findings == [], f"repo source has lint findings:\n{rendered}"
 
 
-def test_engine_and_service_are_concurrency_clean():
-    """Zero ``conc-*`` findings — and zero suppressions — repo-wide.
-
-    The acceptance bar for the concurrency analyzer: every violation it
-    found in the engine, service, and store layers was *fixed*, not
-    suppressed, so the whole tree (scripts included) holds at zero.
-    """
-    scripts = Path(__file__).resolve().parents[2] / "scripts"
-    findings = lint_paths([SRC, scripts], select=["conc"])
-    rendered = "\n".join(finding.render() for finding in findings)
-    assert findings == [], f"concurrency findings:\n{rendered}"
-
-    suppressed = [
-        path
-        for path in SRC.rglob("*.py")
-        if "ignore[conc-" in path.read_text(encoding="utf-8")
-    ]
-    assert suppressed == [], (
-        f"conc-* suppressions are not allowed in src/repro: {suppressed}"
-    )
-
-
 def test_scripts_are_lint_clean():
     scripts = Path(__file__).resolve().parents[2] / "scripts"
     findings = [
