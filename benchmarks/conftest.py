@@ -38,11 +38,6 @@ def spec_requests():
     return SPEC_REQUESTS
 
 
-@pytest.fixture(scope="session")
-def bench_jobs(request):
-    return request.config.getoption("--jobs")
-
-
 @pytest.fixture(scope="session", autouse=True)
 def parallel_prewarm(request):
     """With --jobs > 1, compute the suite's simulation jobs up front.

@@ -1,21 +1,13 @@
-"""Set-associative write-back cache hierarchy (atomic mode)."""
+"""Set-associative write-back LRU cache hierarchy (atomic mode)."""
 
 from .cache import AccessResult, Cache, CacheConfig, CacheStats
 from .hierarchy import CacheHierarchy, paper_l1_config, paper_l2_config
-from .multilevel import MultiLevelCache
 from .prefetch import (
     NextLinePrefetcher,
     PrefetchingCache,
     PrefetchStats,
     Prefetcher,
     StridePrefetcher,
-)
-from .replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
 )
 
 __all__ = [
@@ -24,17 +16,11 @@ __all__ = [
     "CacheConfig",
     "CacheHierarchy",
     "CacheStats",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "MultiLevelCache",
     "NextLinePrefetcher",
     "PrefetchStats",
     "Prefetcher",
     "PrefetchingCache",
-    "RandomPolicy",
     "StridePrefetcher",
-    "ReplacementPolicy",
-    "make_policy",
     "paper_l1_config",
     "paper_l2_config",
 ]

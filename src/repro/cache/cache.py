@@ -1,19 +1,22 @@
-"""A set-associative, write-back, write-allocate cache (atomic mode).
+"""A set-associative, write-back, write-allocate LRU cache (atomic mode).
 
 Matches the paper's Sec. V methodology: gem5 atomic-mode simulation that
 "disregards the timestamp feature, focusing only on the order requests
-arrive". Statistics cover everything Figs. 14–16 report: miss rate,
-replacements, write-backs and footprint.
+arrive", with "a least-recently used replacement policy". Statistics
+cover everything Figs. 14–16 report: miss rate, replacements,
+write-backs and footprint.
+
+Each set is a dict mapping ``tag -> dirty`` whose insertion order is
+recency order: a hit pops and reinserts its tag and a fill appends, so
+``next(iter(set))`` is always the least-recently-used way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from .. import obs
 from ..core.request import MemoryRequest, Operation
-from .replacement import ReplacementPolicy, make_policy
 
 
 @dataclass(frozen=True)
@@ -21,7 +24,6 @@ class CacheConfig:
     size: int  # bytes
     associativity: int
     block_size: int = 64
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         if self.size <= 0 or self.associativity <= 0 or self.block_size <= 0:
@@ -71,61 +73,72 @@ class AccessResult:
     victim_address: Optional[int] = None  # any victim block address
 
 
-class _Line:
-    __slots__ = ("tag", "valid", "dirty")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.valid = False
-        self.dirty = False
-
-
 class Cache:
-    """One level of a write-back, write-allocate cache."""
+    """One level of a write-back, write-allocate LRU cache."""
 
-    __slots__ = (
-        "config",
-        "stats",
-        "_num_sets",
-        "_lines",
-        "_policy",
-        "_obs",
-        "_obs_hits",
-        "_obs_misses",
-        "_obs_write_backs",
-    )
+    __slots__ = ("config", "stats", "num_sets", "sets")
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        policy: Optional[ReplacementPolicy] = None,
-        obs_label: str = "cache",
-    ):
+    def __init__(self, config: CacheConfig):
         self.config = config
         self.stats = CacheStats()
-        self._num_sets = config.num_sets
-        self._lines: List[List[_Line]] = [
-            [_Line() for _ in range(config.associativity)] for _ in range(self._num_sets)
-        ]
-        self._policy = (
-            policy
-            if policy is not None
-            else make_policy(config.replacement, self._num_sets, config.associativity)
-        )
-        registry = obs.active()
-        self._obs = registry
-        if registry is not None:
-            self._obs_hits = registry.counter(f"cache.{obs_label}.hits")
-            self._obs_misses = registry.counter(f"cache.{obs_label}.misses")
-            self._obs_write_backs = registry.counter(f"cache.{obs_label}.write_backs")
+        self.num_sets = config.num_sets
+        self.sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
 
-    def _locate(self, block_address: int):
-        set_index = block_address % self._num_sets
-        tag = block_address // self._num_sets
-        return set_index, tag
+    def replay(self, blocks: List[int], writes: List[bool]) -> Tuple[List[int], List[bool]]:
+        """Demand-access a block stream; return the traffic it sends below.
+
+        The returned stream holds, per miss and in order, the dirty
+        victim's write-back (if any) and then the fill read of the
+        missing block: exactly the accesses the next level sees.
+        """
+        stats = self.stats
+        write_count = sum(writes)
+        stats.accesses += len(blocks)
+        stats.write_accesses += write_count
+        stats.read_accesses += len(blocks) - write_count
+        stats.footprint_blocks.update(blocks)
+
+        sets = self.sets
+        num_sets = self.num_sets
+        associativity = self.config.associativity
+        below_blocks: List[int] = []
+        below_writes: List[bool] = []
+        emit_block = below_blocks.append
+        emit_write = below_writes.append
+        misses = write_misses = replacements = write_backs = 0
+
+        for block, is_write in zip(blocks, writes):
+            set_index = block % num_sets
+            tag = block // num_sets
+            ways = sets[set_index]
+            dirty = ways.pop(tag, None)
+            if dirty is not None:
+                # Hit: reinsert to move the tag to most-recent.
+                ways[tag] = dirty or is_write
+                continue
+            misses += 1
+            if is_write:
+                write_misses += 1
+            if len(ways) == associativity:
+                victim_tag = next(iter(ways))
+                replacements += 1
+                if ways.pop(victim_tag):
+                    write_backs += 1
+                    emit_block(victim_tag * num_sets + set_index)
+                    emit_write(True)
+            ways[tag] = is_write
+            emit_block(block)
+            emit_write(False)
+
+        stats.misses += misses
+        stats.write_misses += write_misses
+        stats.read_misses += misses - write_misses
+        stats.replacements += replacements
+        stats.write_backs += write_backs
+        return below_blocks, below_writes
 
     def access_block(self, block_address: int, is_write: bool) -> AccessResult:
-        """Access one block; fills on miss, evicting (LRU) if needed."""
+        """Access one block; fills on miss, evicting the LRU way if needed."""
         stats = self.stats
         stats.accesses += 1
         if is_write:
@@ -134,86 +147,43 @@ class Cache:
             stats.read_accesses += 1
         stats.footprint_blocks.add(block_address)
 
-        set_index, tag = self._locate(block_address)
-        ways = self._lines[set_index]
-        for way, line in enumerate(ways):
-            if line.valid and line.tag == tag:
-                self._policy.touch(set_index, way)
-                line.dirty = line.dirty or is_write
-                if self._obs is not None:
-                    self._obs_hits.inc()
-                return AccessResult(hit=True)
-
-        # Miss: allocate (write-allocate for both reads and writes).
+        ways = self.sets[block_address % self.num_sets]
+        tag = block_address // self.num_sets
+        dirty = ways.pop(tag, None)
+        if dirty is not None:
+            ways[tag] = dirty or is_write
+            return AccessResult(hit=True)
         stats.misses += 1
-        if self._obs is not None:
-            self._obs_misses.inc()
         if is_write:
             stats.write_misses += 1
         else:
             stats.read_misses += 1
-
-        victim_way = None
-        for way, line in enumerate(ways):
-            if not line.valid:
-                victim_way = way
-                break
-        writeback_address = None
-        victim_address = None
-        if victim_way is None:
-            victim_way = self._policy.victim(set_index)
-            victim_line = ways[victim_way]
-            victim_address = victim_line.tag * self._num_sets + set_index
-            stats.replacements += 1
-            if victim_line.dirty:
-                stats.write_backs += 1
-                writeback_address = victim_address
-                if self._obs is not None:
-                    self._obs_write_backs.inc()
-
-        line = ways[victim_way]
-        line.tag = tag
-        line.valid = True
-        line.dirty = is_write
-        self._policy.touch(set_index, victim_way)
-        return AccessResult(
-            hit=False, writeback_address=writeback_address, victim_address=victim_address
-        )
+        return self._fill(block_address, is_write)
 
     def fill_block(self, block_address: int) -> AccessResult:
         """Insert a block without demand-access accounting (prefetch fill).
 
         Replacements and dirty write-backs are still counted — they are
         real traffic — but hits/misses/footprint are untouched. Filling a
-        resident block is a no-op.
+        resident block is a no-op and leaves its recency unchanged.
         """
-        set_index, tag = self._locate(block_address)
-        ways = self._lines[set_index]
-        for way, line in enumerate(ways):
-            if line.valid and line.tag == tag:
-                return AccessResult(hit=True)
-        victim_way = None
-        for way, line in enumerate(ways):
-            if not line.valid:
-                victim_way = way
-                break
-        writeback_address = None
-        victim_address = None
-        if victim_way is None:
-            victim_way = self._policy.victim(set_index)
-            victim_line = ways[victim_way]
-            victim_address = victim_line.tag * self._num_sets + set_index
+        if self.contains(block_address):
+            return AccessResult(hit=True)
+        return self._fill(block_address, False)
+
+    def _fill(self, block_address: int, dirty: bool) -> AccessResult:
+        """Allocate a missing block as most-recent, evicting the LRU way if full."""
+        set_index = block_address % self.num_sets
+        ways = self.sets[set_index]
+        victim_address = writeback_address = None
+        if len(ways) == self.config.associativity:
+            victim_tag = next(iter(ways))
+            victim_address = victim_tag * self.num_sets + set_index
             self.stats.replacements += 1
-            if victim_line.dirty:
+            if ways.pop(victim_tag):
                 self.stats.write_backs += 1
                 writeback_address = victim_address
-                if self._obs is not None:
-                    self._obs_write_backs.inc()
-        line = ways[victim_way]
-        line.tag = tag
-        line.valid = True
-        line.dirty = False
-        self._policy.touch(set_index, victim_way)
+        ways[block_address // self.num_sets] = dirty
         return AccessResult(
             hit=False, writeback_address=writeback_address, victim_address=victim_address
         )
@@ -229,5 +199,4 @@ class Cache:
         ]
 
     def contains(self, block_address: int) -> bool:
-        set_index, tag = self._locate(block_address)
-        return any(line.valid and line.tag == tag for line in self._lines[set_index])
+        return block_address // self.num_sets in self.sets[block_address % self.num_sets]

@@ -368,9 +368,7 @@ def run_stream_command(args) -> int:
         from ..sim.cache_driver import run_cache_blocks
 
         start = time.perf_counter()
-        result = run_cache_blocks(
-            iter_blocks(args.trace, block_requests), backend=args.backend
-        )
+        result = run_cache_blocks(iter_blocks(args.trace, block_requests))
         elapsed = time.perf_counter() - start
         print(
             f"cache replay ({elapsed:.1f}s): "
@@ -452,9 +450,9 @@ def main(argv=None) -> int:
                  "operations); fails fast on the first violation")
         command.add_argument(
             "--backend", choices=("auto", "scalar", "columnar"), default=None,
-            help="trace data path: 'scalar' walks per-request objects, "
-                 "'columnar' uses vectorized column passes, 'auto' (the "
-                 "default) picks columnar when numpy is available; "
+            help="profile-build data path: 'scalar' walks per-request "
+                 "objects, 'columnar' uses vectorized column passes, 'auto' "
+                 "(the default) picks columnar when numpy is available; "
                  "results are bit-identical either way")
         command.add_argument(
             "--stream", action="store_true",
@@ -506,7 +504,7 @@ def main(argv=None) -> int:
         help="requests per streamed block (default 8,192)")
     stream.add_argument(
         "--backend", choices=("auto", "scalar", "columnar"), default=None,
-        help="trace data path (see 'run --backend')")
+        help="profile-build data path (see 'run --backend')")
     stream.add_argument(
         "--sample-intervals", type=_positive_int, default=None, metavar="K",
         help="profile only K representative outer intervals (two "

@@ -19,7 +19,7 @@ HOT_PATH_MODULES: Tuple[Tuple[str, ...], ...] = (
     ("core", "request.py"),
     ("core", "columnar.py"),
     ("cache", "cache.py"),
-    ("cache", "batched.py"),
+    ("cache", "hierarchy.py"),
     ("dram", "controller.py"),
     ("dram", "address_map.py"),
     ("dram", "batched.py"),

@@ -3,8 +3,7 @@
 A manifest captures everything needed to interpret (and re-run) a run:
 host information, the command and scale, the seeds, per-phase wall
 times and every registry value. ``python -m repro.eval ...
---metrics-out run.json`` writes one; ``scripts/bench.sh`` records one
-alongside ``BENCH_perf.json``.
+--metrics-out run.json`` writes one.
 """
 
 from __future__ import annotations

@@ -2,14 +2,9 @@
 
 Atomic-mode replay: timestamps are ignored and only request order
 matters, matching the paper's gem5 configuration for the CPU/L1 study.
-
-Two equivalent replay engines sit behind :func:`run_cache_trace`: the
-scalar :class:`~repro.cache.hierarchy.CacheHierarchy` and the batched
-:class:`~repro.cache.batched.BatchedCacheHierarchy` (columnar chunks,
-dict-LRU sets). Both produce field-identical :class:`CacheStats`; the
-resolved backend (see :mod:`repro.core.columnar`) picks the engine. The
-batched engine handles only plain LRU sweeps — sanitized runs and
-non-LRU replacement policies always take the scalar path.
+Every entry point — in-memory traces, column blocks, sanitize mode, with
+or without numpy — runs the one :class:`~repro.cache.hierarchy.CacheHierarchy`;
+sanitize mode only wraps the input stream in an invariant checker.
 """
 
 from __future__ import annotations
@@ -17,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from ..cache.batched import BatchedCacheHierarchy
 from ..cache.cache import CacheConfig, CacheStats
 from ..cache.hierarchy import CacheHierarchy, paper_l2_config
-from ..core.columnar import ColumnarTrace, resolve_backend
-from ..core.trace import Trace
+from ..core.columnar import ColumnarTrace
+from ..core.request import MemoryRequest
 from ..lint import sanitize as _sanitize
 
 
@@ -41,47 +35,44 @@ class CacheRunResult:
         return self.l2.miss_rate
 
 
+def _hierarchy(
+    l1_config: Optional[CacheConfig], l2_config: Optional[CacheConfig]
+) -> CacheHierarchy:
+    return CacheHierarchy(
+        l1_config if l1_config is not None else CacheConfig(32 * 1024, 4),
+        l2_config if l2_config is not None else paper_l2_config(),
+    )
+
+
+def _checker(sanitize: Optional[bool], label: str):
+    """An invariant checker when sanitizing, else ``None``.
+
+    Timestamps are *not* required to be monotonic: atomic-mode replay
+    ignores them by construction.
+    """
+    if sanitize is False or (sanitize is None and not _sanitize.active()):
+        return None
+    return _sanitize.TraceInvariantChecker(label=label, require_monotonic=False)
+
+
 def run_cache_trace(
-    trace: Union[Trace, ColumnarTrace],
+    trace: Union[ColumnarTrace, Iterable[MemoryRequest]],
     l1_config: Optional[CacheConfig] = None,
     l2_config: Optional[CacheConfig] = None,
     sanitize: Optional[bool] = None,
-    backend: Optional[str] = None,
 ) -> CacheRunResult:
     """Replay a trace through an L1/L2 hierarchy and return statistics.
 
     ``sanitize=True`` (or process-wide
     :func:`repro.lint.sanitize.enable`) validates addresses, sizes and
-    operations; timestamps are *not* required to be monotonic here
-    because atomic-mode replay ignores them by construction.
-
-    ``backend`` overrides the process-wide selection; the scalar and
-    batched engines return identical statistics.
+    operations.
     """
-    l1_config = l1_config if l1_config is not None else CacheConfig(32 * 1024, 4)
-    l2_config = l2_config if l2_config is not None else paper_l2_config()
-    sanitizing = sanitize is True or (sanitize is None and _sanitize.active())
-
-    if (
-        resolve_backend(backend) == "columnar"
-        and not sanitizing
-        and l1_config.replacement == "lru"
-        and l2_config.replacement == "lru"
-    ):
-        batched = BatchedCacheHierarchy(l1_config, l2_config)
-        batched.run(trace)
-        return CacheRunResult(l1=batched.l1_stats, l2=batched.l2_stats)
-
-    if isinstance(trace, ColumnarTrace):
-        trace = trace.to_trace()
-    hierarchy = CacheHierarchy(l1_config, l2_config)
-    requests = trace
-    if sanitizing:
-        checker = _sanitize.TraceInvariantChecker(
-            label="run_cache_trace", require_monotonic=False
-        )
-        requests = checker.watch(trace)
-    hierarchy.run(requests)
+    hierarchy = _hierarchy(l1_config, l2_config)
+    checker = _checker(sanitize, "run_cache_trace")
+    if checker is not None:
+        requests = trace.iter_requests() if isinstance(trace, ColumnarTrace) else trace
+        trace = checker.watch(requests)
+    hierarchy.run(trace)
     return CacheRunResult(l1=hierarchy.l1_stats, l2=hierarchy.l2_stats)
 
 
@@ -90,36 +81,20 @@ def run_cache_blocks(
     l1_config: Optional[CacheConfig] = None,
     l2_config: Optional[CacheConfig] = None,
     sanitize: Optional[bool] = None,
-    backend: Optional[str] = None,
 ) -> CacheRunResult:
     """Replay a stream of column blocks through the L1/L2 hierarchy.
 
     The out-of-core twin of :func:`run_cache_trace`: blocks (e.g. from
     :func:`repro.stream.iter_blocks`) are consumed one at a time, so
-    peak memory is O(block) regardless of trace length. Engine selection
-    and statistics match :func:`run_cache_trace` over the concatenated
-    blocks exactly.
+    peak memory is O(block) regardless of trace length. Statistics
+    equal :func:`run_cache_trace` over the concatenated blocks.
     """
-    l1_config = l1_config if l1_config is not None else CacheConfig(32 * 1024, 4)
-    l2_config = l2_config if l2_config is not None else paper_l2_config()
-    sanitizing = sanitize is True or (sanitize is None and _sanitize.active())
-
-    if (
-        resolve_backend(backend) == "columnar"
-        and not sanitizing
-        and l1_config.replacement == "lru"
-        and l2_config.replacement == "lru"
-    ):
-        batched = BatchedCacheHierarchy(l1_config, l2_config)
-        batched.run_blocks(blocks)
-        return CacheRunResult(l1=batched.l1_stats, l2=batched.l2_stats)
-
-    hierarchy = CacheHierarchy(l1_config, l2_config)
-    requests = (request for block in blocks for request in block.iter_requests())
-    if sanitizing:
-        checker = _sanitize.TraceInvariantChecker(
-            label="run_cache_blocks", require_monotonic=False
+    hierarchy = _hierarchy(l1_config, l2_config)
+    checker = _checker(sanitize, "run_cache_blocks")
+    if checker is None:
+        hierarchy.run_blocks(blocks)
+    else:
+        hierarchy.run(
+            checker.watch(request for block in blocks for request in block.iter_requests())
         )
-        requests = checker.watch(requests)
-    hierarchy.run(requests)
     return CacheRunResult(l1=hierarchy.l1_stats, l2=hierarchy.l2_stats)

@@ -7,9 +7,8 @@ from repro.cache.cache import Cache, CacheConfig
 from ..conftest import req
 
 
-def make_cache(size=1024, assoc=2, block=64, replacement="lru"):
-    return Cache(CacheConfig(size=size, associativity=assoc, block_size=block,
-                             replacement=replacement))
+def make_cache(size=1024, assoc=2, block=64):
+    return Cache(CacheConfig(size=size, associativity=assoc, block_size=block))
 
 
 class TestCacheConfig:
@@ -23,6 +22,10 @@ class TestCacheConfig:
             CacheConfig(0, 1, 64)
         with pytest.raises(ValueError):
             CacheConfig(1024, 2, 48)  # block not power of two
+
+    def test_replacement_is_always_lru(self):
+        with pytest.raises(TypeError):
+            CacheConfig(1024, 2, replacement="fifo")
 
 
 class TestBasicBehaviour:

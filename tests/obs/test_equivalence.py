@@ -89,17 +89,22 @@ class TestReplayEquivalence:
         assert counters["dram.enqueued"] > 0
 
     def test_cache_counters_accumulate(self):
-        from repro.cache.cache import Cache, CacheConfig
+        from repro.cache.cache import CacheConfig
+        from repro.cache.hierarchy import CacheHierarchy
+        from repro.core.request import MemoryRequest, Operation
+        from repro.core.trace import Trace
 
+        trace = Trace([MemoryRequest(0, block * 64, Operation.READ, 64) for block in range(32)])
         obs.enable()
         try:
-            cache = Cache(CacheConfig(size=4096, associativity=2))
+            hierarchy = CacheHierarchy(CacheConfig(size=4096, associativity=2))
             for _ in range(2):  # second pass hits: 32 blocks fit in 64
-                for block in range(32):
-                    cache.access_block(block, is_write=False)
+                hierarchy.run(trace)
             counters = obs.active().snapshot()["counters"]
         finally:
             obs.disable()
 
-        assert counters["cache.cache.misses"] == 32
-        assert counters["cache.cache.hits"] == 32
+        assert counters["cache.l1.misses"] == 32
+        assert counters["cache.l1.hits"] == 32
+        assert counters["cache.l2.misses"] == 32
+        assert counters["cache.l2.hits"] == 0

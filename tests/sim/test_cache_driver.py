@@ -36,3 +36,10 @@ class TestRunCacheTrace:
         result = run_cache_trace(Trace(requests))
         # 4KB working set fits in L1: only cold misses.
         assert result.l1.misses == blocks
+
+    def test_addresses_beyond_column_bounds_replay(self):
+        # Request objects allow any non-negative address; columns stop at 2**64.
+        trace = Trace([req(0, 2**64 + 64), req(1, 2**64 + 64)])
+        result = run_cache_trace(trace)
+        assert (result.l1.misses, result.l1.hits) == (1, 1)
+        assert result.l1.footprint_blocks == {2**58 + 1}

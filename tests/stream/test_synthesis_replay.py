@@ -46,10 +46,9 @@ def test_synthesize_to_file_block_requests_validated(profile, tmp_path):
         synthesize_to_file(profile, tmp_path / "t.mtr", block_requests=0)
 
 
-@pytest.mark.parametrize("backend", ["columnar", "scalar"])
-def test_cache_blocks_match_trace_replay(backend, stream_columns):
-    expected = run_cache_trace(stream_columns, backend=backend)
-    got = run_cache_blocks(stream_columns.iter_blocks(128), backend=backend)
+def test_cache_blocks_match_trace_replay(stream_columns):
+    expected = run_cache_trace(stream_columns)
+    got = run_cache_blocks(stream_columns.iter_blocks(128))
     assert got.l1 == expected.l1
     assert got.l2 == expected.l2
 
