@@ -72,7 +72,12 @@ class StridePrefetcher(Prefetcher):
             confirmations = 0
         self._table[region] = [block, stride if stride else last_stride, confirmations]
         if stride and confirmations >= self.threshold:
-            return [block + stride * step for step in range(1, self.degree + 1)]
+            # A descending stride runs out at block 0; nothing lies below it.
+            return [
+                block + stride * step
+                for step in range(1, self.degree + 1)
+                if block + stride * step >= 0
+            ]
         return []
 
 

@@ -49,6 +49,11 @@ class TestPredictors:
         # A different region has no history.
         assert prefetcher.predict(1000, True) == []
 
+    def test_descending_stride_stops_at_block_zero(self):
+        prefetcher = StridePrefetcher(degree=2, threshold=1)
+        predictions = [prefetcher.predict(block, True) for block in (5, 4, 3, 2, 1)]
+        assert predictions[-2:] == [[1, 0], [0]]
+
     def test_stride_validation(self):
         with pytest.raises(ValueError):
             StridePrefetcher(degree=0)
@@ -90,6 +95,15 @@ class TestPrefetchingCache:
         for block in range(64):
             prefetching.access_block(block, False)
         assert prefetching.demand_stats.accesses == 64
+
+    def test_descending_stream_prefetches_no_negative_block(self):
+        prefetching = make(StridePrefetcher(degree=4, threshold=1), size=1024, assoc=2)
+        for block in (6, 4, 2, 0):
+            prefetching.access_block(block, False)
+        assert not any(prefetching.cache.contains(block) for block in range(-8, 0))
+        # Block 2 confirmed the stride; block 0 was the only real block to fill.
+        assert prefetching.stats.issued == 1
+        assert prefetching.stats.useful == 1
 
     def test_run_over_trace(self):
         prefetching = make(NextLinePrefetcher())
