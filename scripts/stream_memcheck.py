@@ -65,7 +65,7 @@ def _worker(mode: str, path: Path, cap_mb: int, block_requests: int) -> int:
             from repro.core.profiler import build_profile
             from repro.core.trace import Trace
 
-            profile = build_profile(Trace.load_binary(path), _config(), stream=False)
+            profile = build_profile(Trace.load_binary(path), _config())
     except MemoryError:
         print(f"worker {mode}: MemoryError under {cap_mb} MiB cap", flush=True)
         return MEMORY_ERROR_EXIT

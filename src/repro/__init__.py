@@ -39,14 +39,12 @@ from .core import (
     SpatialLayer,
     TemporalLayer,
     Trace,
-    active_backend,
     build_leaves,
     build_profile,
     load_profile,
     partition_dynamic,
     partition_fixed,
     save_profile,
-    set_backend,
     synthesize,
     synthesize_stream,
     two_level_rs,
@@ -71,7 +69,6 @@ __all__ = [
     "SpatialLayer",
     "TemporalLayer",
     "Trace",
-    "active_backend",
     "available_workloads",
     "build_leaves",
     "build_profile",
@@ -79,7 +76,6 @@ __all__ = [
     "partition_dynamic",
     "partition_fixed",
     "save_profile",
-    "set_backend",
     "synthesize",
     "synthesize_stream",
     "two_level_rs",

@@ -19,14 +19,7 @@ from .leaf import (
     make_leaf_factory,
     wrap_address,
 )
-from .columnar import (
-    BACKENDS,
-    ColumnarTrace,
-    active_backend,
-    resolve_backend,
-    selected_backend,
-    set_backend,
-)
+from .columnar import ColumnarTrace, resolve_backend
 from .errors import CorruptArtifactError
 from .markov import MarkovChain
 from .mcc import McCModel
@@ -53,7 +46,6 @@ from .trace import Trace
 __all__ = [
     "AddressModel",
     "AddressRange",
-    "BACKENDS",
     "ColumnarTrace",
     "CorruptArtifactError",
     "FeedbackSynthesizer",
@@ -72,7 +64,6 @@ __all__ = [
     "SpatialPartition",
     "TemporalLayer",
     "Trace",
-    "active_backend",
     "build_leaves",
     "build_profile",
     "load_profile",
@@ -87,8 +78,6 @@ __all__ = [
     "register_operation_model",
     "resolve_backend",
     "save_profile",
-    "selected_backend",
-    "set_backend",
     "synthesize",
     "synthesize_stream",
     "synthesize_transition_based",

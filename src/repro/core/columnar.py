@@ -24,44 +24,32 @@ from :class:`~repro.core.trace.Trace` is lossless and order-preserving
 within those bounds (addresses above 2**32 are routine; anything a
 ``Trace`` can save, a ``ColumnarTrace`` can hold).
 
-Backend selection
------------------
+Profile-build data path
+-----------------------
 
-The profile builder's data path is chosen by, in priority order:
-
-1. an explicit ``backend=`` argument on the entry points that take one
-   (``build_profile`` and the :mod:`repro.stream` builders),
-2. :func:`set_backend` (what ``python -m repro.eval --backend`` calls),
-3. the ``MOCKTAILS_BACKEND`` environment variable,
-4. the default, ``auto``.
-
-``auto`` resolves to ``columnar`` when numpy is importable and
-``scalar`` otherwise. ``columnar`` may always be forced — without numpy
-the ``array`` engine keeps storage columnar and the compute stages
-delegate to the scalar algorithms. Every backend produces bit-identical
-results; the choice is purely a performance knob, which is also why
-:mod:`repro.store.memo` folds the resolved backend into its cache-key
-fingerprint (no cross-backend cache collisions, even though payloads
-are expected to be identical).
+:func:`~repro.core.profiler.build_profile` picks its data path from its
+inputs; nothing selects it. It takes the columnar path when numpy is
+importable (and not disabled with ``MOCKTAILS_NO_NUMPY``), the leaf
+factory is the default all-McC one and every value fits in int64.
+Otherwise it takes the scalar path. Both paths build bit-identical
+profiles. :func:`resolve_backend` names the path numpy availability
+selects, and :mod:`repro.store.memo` folds that name into its cache
+keys.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Sequence, Union
 
 from .request import MemoryRequest, Operation
 from .trace import Trace
 
 __all__ = [
-    "BACKENDS",
     "ColumnarTrace",
-    "active_backend",
     "numpy_or_none",
     "resolve_backend",
-    "selected_backend",
-    "set_backend",
 ]
 
 try:  # pragma: no cover - exercised via both CI matrix legs
@@ -69,10 +57,6 @@ try:  # pragma: no cover - exercised via both CI matrix legs
 except ImportError:  # pragma: no cover - numpy-less environments
     _numpy = None
 
-#: Recognised backend names (``auto`` resolves at call time).
-BACKENDS = ("auto", "scalar", "columnar")
-
-_BACKEND_ENV = "MOCKTAILS_BACKEND"
 _NO_NUMPY_ENV = "MOCKTAILS_NO_NUMPY"
 
 _TIME_MAX = 2**64 - 1
@@ -92,44 +76,16 @@ def numpy_or_none():
     return _numpy
 
 
-def selected_backend() -> str:
-    """The configured backend name (may be ``auto``), before resolution."""
-    name = os.environ.get(_BACKEND_ENV, "") or "auto"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r} in ${_BACKEND_ENV}; expected one of {BACKENDS}"
-        )
-    return name
+def resolve_backend(backend: None = None) -> str:
+    """The profile-build path numpy availability selects.
 
-
-def set_backend(name: Optional[str]) -> str:
-    """Select the process-wide backend; returns the resolved choice.
-
-    ``None`` or ``"auto"`` restores automatic selection. The choice is
-    recorded in the ``MOCKTAILS_BACKEND`` environment variable so worker
-    processes spawned by :mod:`repro.eval.parallel` inherit it.
+    ``columnar`` when :func:`numpy_or_none` finds numpy, ``scalar``
+    otherwise. There is nothing to choose, so ``backend`` must be
+    ``None``.
     """
-    if name is None:
-        name = "auto"
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")
-    os.environ[_BACKEND_ENV] = name
-    return active_backend()
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve an explicit or configured backend to ``scalar``/``columnar``."""
-    name = backend if backend is not None else selected_backend()
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")
-    if name == "auto":
-        return "columnar" if numpy_or_none() is not None else "scalar"
-    return name
-
-
-def active_backend() -> str:
-    """The resolved process-wide backend: ``scalar`` or ``columnar``."""
-    return resolve_backend(None)
+    if backend is not None:
+        raise ValueError(f"unknown backend {backend!r}; the data path is not selectable")
+    return "columnar" if numpy_or_none() is not None else "scalar"
 
 
 def _bounds_error(field: str, value: int, limit: int) -> ValueError:

@@ -14,13 +14,12 @@ Two data paths build the same profile:
   passes — no per-request objects, no per-transition Counter churn.
 
 The columnar path is bit-identical to the scalar one, down to Markov
-transition-dict insertion order (which serialization depends on). It is
-used when the resolved backend (see :mod:`repro.core.columnar`) is
-``columnar``, numpy is importable, the leaf factory is the default
-all-McC one, and every value fits in int64; otherwise the scalar path
-runs — including for a forced ``columnar`` backend without numpy, where
-column *storage* still works but compute delegates to the scalar
-algorithms.
+transition-dict insertion order (which serialization depends on).
+:func:`build_profile` picks the path from its inputs: columnar when the
+leaf factory is the default all-McC one, numpy is importable and every
+value fits in int64; scalar otherwise. Each scalar build under an
+active :mod:`repro.obs` registry bumps ``profile.fallback.<reason>``
+(``leaf_factory``, ``no_numpy`` or ``int64_range``).
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from .. import obs
 from .hierarchy import (
     HierarchyConfig,
     SpatialLayer,
@@ -53,8 +53,6 @@ def build_profile(
     config: HierarchyConfig = None,
     leaf_factory: LeafModelFactory = LeafModel.fit,
     name: str = "",
-    backend: Optional[str] = None,
-    stream: Optional[bool] = None,
 ):
     """Build a statistical profile from a trace.
 
@@ -68,75 +66,29 @@ def build_profile(
             all-McC leaves; pass :func:`repro.baselines.stm.stm_leaf_factory`
             for the ``2L-TS (STM)`` comparison point.
         name: Optional workload name recorded in the profile.
-        backend: ``scalar``/``columnar``/``auto`` override; ``None``
-            defers to the process-wide selection
-            (:func:`repro.core.columnar.active_backend`). Both backends
-            build bit-identical profiles.
-        stream: ``True`` routes the build through the out-of-core
-            map-reduce profiler (:mod:`repro.stream`) in fixed-size
-            blocks; ``None`` defers to the ``MOCKTAILS_STREAM``
-            environment switch (see
-            :func:`repro.stream.set_stream_mode`); ``False`` forces the
-            single-pass build. All paths are bit-identical.
 
     Returns:
         A :class:`repro.core.profile.Profile`.
     """
-    from .columnar import ColumnarTrace
+    from .columnar import ColumnarTrace, numpy_or_none
+    from .profile import Profile
 
     if config is None:
         config = two_level_ts()
 
+    np = numpy_or_none()
     # Bound-method equality, not identity: each LeafModel.fit attribute
     # access creates a fresh bound method object.
-    if stream is not False and leaf_factory == LeafModel.fit:
-        from ..stream import (
-            build_profile_streaming,
-            stream_block_requests,
-            stream_requested,
-        )
-
-        if stream is True or (stream is None and stream_requested()):
-            columns = (
-                trace if isinstance(trace, ColumnarTrace) else ColumnarTrace.from_trace(trace)
-            )
-            return build_profile_streaming(
-                columns.iter_blocks(stream_block_requests()),
-                config,
-                name=name,
-                backend=backend,
-            )
-    elif stream is True:
-        raise ValueError("stream=True requires the default all-McC leaf factory")
-
-    return _build_profile_inmemory(trace, config, leaf_factory, name, backend)
-
-
-def _build_profile_inmemory(
-    trace: Union[Trace, "ColumnarTrace"],
-    config: HierarchyConfig,
-    leaf_factory: LeafModelFactory = LeafModel.fit,
-    name: str = "",
-    backend: Optional[str] = None,
-):
-    """The single-pass build — scalar or batched-columnar, never streaming.
-
-    :mod:`repro.stream` calls this directly (not :func:`build_profile`)
-    when it has to fall back to a materialized build, so the
-    ``MOCKTAILS_STREAM`` switch can never recurse.
-    """
-    from .columnar import ColumnarTrace, numpy_or_none, resolve_backend
-    from .profile import Profile
-
-    if resolve_backend(backend) == "columnar" and leaf_factory == LeafModel.fit:
-        np = numpy_or_none()
-        if np is not None:
-            columns = (
-                trace if isinstance(trace, ColumnarTrace) else ColumnarTrace.from_trace(trace)
-            )
-            models = _build_models_columnar(np, columns, config)
-            if models is not None:
-                return Profile(models, hierarchy=config.describe(), name=name)
+    if leaf_factory != LeafModel.fit:
+        _count_fallback("leaf_factory")
+    elif np is None:
+        _count_fallback("no_numpy")
+    else:
+        columns = trace if isinstance(trace, ColumnarTrace) else ColumnarTrace.from_trace(trace)
+        models = _build_models_columnar(np, columns, config)
+        if models is not None:
+            return Profile(models, hierarchy=config.describe(), name=name)
+        _count_fallback("int64_range")
 
     if isinstance(trace, ColumnarTrace):
         trace = trace.to_trace()
@@ -145,7 +97,14 @@ def _build_profile_inmemory(
     return Profile(models, hierarchy=config.describe(), name=name)
 
 
-def fit_interval_leaves(intervals, layers, backend: Optional[str] = None) -> List[LeafModel]:
+def _count_fallback(reason: str) -> None:
+    """Bump ``profile.fallback.<reason>`` when a registry is active."""
+    registry = obs.active()
+    if registry is not None:
+        registry.counter(f"profile.fallback.{reason}").inc()
+
+
+def fit_interval_leaves(intervals, layers) -> List[LeafModel]:
     """Fit every leaf model of a batch of completed hierarchy intervals.
 
     Each interval is a :class:`~repro.core.columnar.ColumnarTrace`
@@ -160,19 +119,18 @@ def fit_interval_leaves(intervals, layers, backend: Optional[str] = None) -> Lis
     fits them in batches through this function, so the batched columnar
     kernels amortize over many intervals per call.
     """
-    from .columnar import ColumnarTrace, numpy_or_none, resolve_backend
+    from .columnar import ColumnarTrace, numpy_or_none
 
     intervals = [interval for interval in intervals if len(interval)]
     if not intervals:
         return []
     layers = tuple(layers)
 
-    if resolve_backend(backend) == "columnar":
-        np = numpy_or_none()
-        if np is not None:
-            models = _fit_interval_leaves_columnar(np, intervals, layers)
-            if models is not None:
-                return models
+    np = numpy_or_none()
+    if np is not None:
+        models = _fit_interval_leaves_columnar(np, intervals, layers)
+        if models is not None:
+            return models
 
     models = []
     for interval in intervals:

@@ -51,9 +51,7 @@ DEFAULT_INTERVAL = 500_000
 class DramJob:
     """One baseline/McC(/STM) DRAM simulation trio (Figs. 6-13).
 
-    The executor replays through :mod:`repro.sim.driver`; pool workers
-    inherit ``MOCKTAILS_BACKEND`` from the parent's environment, so they
-    build profiles on the same backend the parent would.
+    The executor replays through :mod:`repro.sim.driver`.
     """
 
     name: str

@@ -24,6 +24,7 @@ import sys
 import time
 
 from .. import obs, store
+from ..tools import positive_int
 from . import experiments
 from .reporting import format_table
 
@@ -314,7 +315,6 @@ def run_stream_command(args) -> int:
             k=args.sample_intervals,
             seed=args.sample_seed or 0,
             block_requests=block_requests,
-            backend=args.backend,
         )
         elapsed = time.perf_counter() - start
         total_requests = sum(leaf.count for leaf in profile)
@@ -337,7 +337,6 @@ def run_stream_command(args) -> int:
             config,
             jobs=args.jobs,
             block_requests=block_requests,
-            backend=args.backend,
         )
         elapsed = time.perf_counter() - start
         total_requests = sum(leaf.count for leaf in profile)
@@ -348,9 +347,7 @@ def run_stream_command(args) -> int:
     else:
         from ..stream import build_profile_streaming
 
-        profile = build_profile_streaming(
-            iter_blocks(args.trace, block_requests), config, backend=args.backend
-        )
+        profile = build_profile_streaming(iter_blocks(args.trace, block_requests), config)
         elapsed = time.perf_counter() - start
         total_requests = sum(leaf.count for leaf in profile)
         print(
@@ -389,17 +386,6 @@ def run_stream_command(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
@@ -409,19 +395,19 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list experiment names")
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    run.add_argument("--requests", type=_positive_int, default=20_000,
+    run.add_argument("--requests", type=positive_int, default=20_000,
                      help="requests per trace (default 20,000)")
     quick = sub.add_parser(
         "quick", help="run one experiment at a reduced quick scale"
     )
     quick.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    quick.add_argument("--requests", type=_positive_int, default=2_000,
+    quick.add_argument("--requests", type=positive_int, default=2_000,
                        help="requests per trace (default 2,000)")
     everything = sub.add_parser("all", help="run every experiment")
-    everything.add_argument("--requests", type=_positive_int, default=20_000)
+    everything.add_argument("--requests", type=positive_int, default=20_000)
     for command in (run, quick, everything):
         command.add_argument(
-            "--jobs", type=_positive_int, default=1,
+            "--jobs", type=positive_int, default=1,
             help="worker processes for the simulation fan-out "
                  "(default 1 = serial; results are identical)")
         command.add_argument(
@@ -449,22 +435,7 @@ def main(argv=None) -> int:
                  "invariants (monotonic timestamps, legal addresses and "
                  "operations); fails fast on the first violation")
         command.add_argument(
-            "--backend", choices=("auto", "scalar", "columnar"), default=None,
-            help="profile-build data path: 'scalar' walks per-request "
-                 "objects, 'columnar' uses vectorized column passes, 'auto' "
-                 "(the default) picks columnar when numpy is available; "
-                 "results are bit-identical either way")
-        command.add_argument(
-            "--stream", action="store_true",
-            help="build every profile through the out-of-core streaming "
-                 "path (repro.stream): O(block) peak memory, results "
-                 "bit-identical to the in-memory build")
-        command.add_argument(
-            "--block-requests", type=_positive_int, default=None, metavar="N",
-            help="streaming block size in requests (default 8,192; "
-                 "implies nothing without --stream)")
-        command.add_argument(
-            "--sample-intervals", type=_positive_int, default=None, metavar="K",
+            "--sample-intervals", type=positive_int, default=None, metavar="K",
             help="statistical sampling: cluster each trace's outer "
                  "temporal intervals and simulate only K weighted "
                  "representatives (repro.sample); K >= the interval "
@@ -496,17 +467,14 @@ def main(argv=None) -> int:
         help="additionally replay the trace block-by-block through the "
              "L1/L2 cache or the crossbar+DRAM simulator")
     stream.add_argument(
-        "--jobs", type=_positive_int, default=1,
+        "--jobs", type=positive_int, default=1,
         help="worker processes for the sharded map-reduce build "
              "(default 1 = sequential; results are identical)")
     stream.add_argument(
-        "--block-requests", type=_positive_int, default=None, metavar="N",
+        "--block-requests", type=positive_int, default=None, metavar="N",
         help="requests per streamed block (default 8,192)")
     stream.add_argument(
-        "--backend", choices=("auto", "scalar", "columnar"), default=None,
-        help="profile-build data path (see 'run --backend')")
-    stream.add_argument(
-        "--sample-intervals", type=_positive_int, default=None, metavar="K",
+        "--sample-intervals", type=positive_int, default=None, metavar="K",
         help="profile only K representative outer intervals (two "
              "streaming passes: fingerprint, then fit; K >= the "
              "interval count is byte-identical to the full build)")
@@ -549,27 +517,6 @@ def main(argv=None) -> int:
         return run_cache_command(args)
     if args.command == "stream":
         return run_stream_command(args)
-
-    if args.backend is not None:
-        # set_backend records the choice in MOCKTAILS_BACKEND, so
-        # parallel worker processes inherit it.
-        from ..core.columnar import set_backend
-
-        set_backend(args.backend)
-
-    stream_env = None
-    if args.stream or args.block_requests is not None:
-        # set_stream_mode records the choice in MOCKTAILS_STREAM /
-        # MOCKTAILS_STREAM_BLOCK_REQUESTS, so workers inherit it; the
-        # prior values are restored on the way out.
-        import os
-
-        from ..stream import _BLOCK_ENV, _STREAM_ENV, set_stream_mode
-
-        stream_env = {
-            key: os.environ.get(key) for key in (_STREAM_ENV, _BLOCK_ENV)
-        }
-        set_stream_mode(args.stream, args.block_requests)
 
     sample_env = None
     if args.sample_intervals is not None:
@@ -629,14 +576,6 @@ def main(argv=None) -> int:
             print(f"wrote {registry.sink.emitted if registry.sink else 0:,} "
                   f"events to {args.trace_events}")
     finally:
-        if stream_env is not None:
-            import os
-
-            for key, value in stream_env.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
         if sample_env is not None:
             import os
 

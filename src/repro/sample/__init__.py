@@ -21,8 +21,8 @@ Guarantees:
   :func:`repro.stream.iter_blocks`
   (:func:`~repro.sample.estimator.sampled_profile_from_file`).
 
-Process-wide configuration mirrors the backend env contract
-(:mod:`repro.core.columnar`): ``MOCKTAILS_SAMPLE_INTERVALS`` sets K
+Process-wide configuration lives in the environment, so parallel
+workers inherit it: ``MOCKTAILS_SAMPLE_INTERVALS`` sets K
 (unset/empty = sampling off), ``MOCKTAILS_SAMPLE_SEED`` the clustering
 seed. :func:`sampling_fingerprint` folds both into
 :mod:`repro.store.memo` cache keys so sampled and full results never

@@ -149,7 +149,6 @@ def build_sampled_profile(
     k: Optional[int] = None,
     seed: int = 0,
     name: str = "",
-    backend: Optional[str] = None,
 ) -> Tuple[Profile, SamplePlan]:
     """Profile only K representative intervals of ``trace``.
 
@@ -164,11 +163,9 @@ def build_sampled_profile(
     slices, fingerprints = _plan_for(columns, layer, k)
     plan = build_plan(fingerprints, _resolve_k(k, len(fingerprints)) or 1, seed=seed)
     if plan.exact:
-        return build_profile(columns, config, name=name, backend=backend), plan
+        return build_profile(columns, config, name=name), plan
     leaves = fit_interval_leaves(
-        [slices[index] for index in plan.representatives],
-        config.layers[1:],
-        backend=backend,
+        [slices[index] for index in plan.representatives], config.layers[1:]
     )
     return Profile(leaves, hierarchy=config.describe(), name=name), plan
 
@@ -180,7 +177,6 @@ def sampled_profile_from_file(
     seed: int = 0,
     name: str = "",
     block_requests: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[Profile, SamplePlan]:
     """Out-of-core :func:`build_sampled_profile` over a trace file.
 
@@ -206,9 +202,7 @@ def sampled_profile_from_file(
             )
         )
         plan = build_plan(fingerprints, _resolve_k(k, len(fingerprints)) or 1, seed=seed)
-        profile = build_profile_streaming(
-            iter_blocks(path, blocks), config, name=name, backend=backend
-        )
+        profile = build_profile_streaming(iter_blocks(path, blocks), config, name=name)
         return profile, plan
 
     fingerprints = fingerprint_intervals(
@@ -219,18 +213,14 @@ def sampled_profile_from_file(
     if plan.exact:
         from ..stream import build_profile_streaming
 
-        profile = build_profile_streaming(
-            iter_blocks(path, blocks), config, name=name, backend=backend
-        )
+        profile = build_profile_streaming(iter_blocks(path, blocks), config, name=name)
         return profile, plan
 
     wanted = set(plan.representatives)
     leaves = []
     for index, interval in iter_stream_intervals(iter_blocks(path, blocks), layer):
         if index in wanted:
-            leaves.extend(
-                fit_interval_leaves([interval], config.layers[1:], backend=backend)
-            )
+            leaves.extend(fit_interval_leaves([interval], config.layers[1:]))
     return Profile(leaves, hierarchy=config.describe(), name=name), plan
 
 

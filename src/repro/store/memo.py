@@ -15,6 +15,8 @@ Key derivation (invalidation rules):
   changed"),
 * a fingerprint of the default :class:`~repro.dram.config.MemoryConfig`
   (so editing Table III defaults invalidates DRAM-dependent entries),
+* the profile-build path numpy availability selects
+  (:func:`~repro.core.columnar.resolve_backend`, read live per key),
 * and the payload schema constant (bumped when the pickled payload
   layout changes).
 
@@ -86,27 +88,13 @@ def _environment_fingerprint() -> str:
     return _fingerprint_cache
 
 
-def _active_backend() -> str:
-    """The resolved trace backend, read live (not cached).
-
-    The backend can change mid-process (``set_backend``, env overrides),
-    so it cannot ride along in the cached environment fingerprint.
-    Folding it into every key means columnar-era payloads can never
-    collide with scalar-era entries — both backends are bit-identical by
-    contract, but the cache must not be the thing relying on that.
-    """
-    from ..core.columnar import active_backend
-
-    return active_backend()
-
-
 def _active_sampling() -> str:
     """The live sampling configuration (``"off"`` or ``k=K:seed=S``).
 
-    Like :func:`_active_backend` this is read per key, not cached:
-    ``MOCKTAILS_SAMPLE_INTERVALS`` can change mid-process (CLI flags
-    set and restore it around a run), and a sampled estimate must never
-    alias the full pipeline's payload in the store.
+    Read per key, not cached: ``MOCKTAILS_SAMPLE_INTERVALS`` can change
+    mid-process (CLI flags set and restore it around a run), and a
+    sampled estimate must never alias the full pipeline's payload in the
+    store.
     """
     from ..sample import sampling_fingerprint
 
@@ -117,10 +105,13 @@ def cache_key(job: Any) -> str:
     """Stable hex cache key for one job dataclass."""
     if not dataclasses.is_dataclass(job):
         raise TypeError(f"jobs must be dataclasses, got {type(job).__name__}")
+    # Deferred: repro.core.trace imports this package during its own init.
+    from ..core.columnar import resolve_backend
+
     canonical = json.dumps(
         {
             "env": _environment_fingerprint(),
-            "backend": _active_backend(),
+            "backend": resolve_backend(),
             "sampling": _active_sampling(),
             "kind": type(job).__name__,
             "fields": dataclasses.asdict(job),

@@ -33,10 +33,9 @@ def _build_shard(
     blocks: List[ColumnarTrace],
     offset: int,
     origin: int,
-    backend: Optional[str],
 ) -> ProfilePartial:
     """Worker: fold one contiguous shard into a partial at ``offset``."""
-    partial = ProfilePartial(config, backend=backend, offset=offset, origin=origin)
+    partial = ProfilePartial(config, offset=offset, origin=origin)
     for block in blocks:
         partial.feed(block)
     return partial
@@ -74,7 +73,6 @@ def build_profile_sharded(
     jobs: Optional[int] = None,
     block_requests: int = DEFAULT_BLOCK_REQUESTS,
     shard_requests: Optional[int] = None,
-    backend: Optional[str] = None,
 ):
     """Stream a trace file into a profile using ``jobs`` workers.
 
@@ -88,24 +86,20 @@ def build_profile_sharded(
         config = two_level_ts()
     processes = default_processes() if jobs is None else jobs
     if processes <= 1:
-        return build_profile_streaming(
-            iter_blocks(path, block_requests), config, name=name, backend=backend
-        )
+        return build_profile_streaming(iter_blocks(path, block_requests), config, name=name)
     if shard_requests is None:
         shard_requests = block_requests * 8
     elif shard_requests <= 0:
         raise ValueError(f"shard_requests must be positive, got {shard_requests}")
 
-    root = ProfilePartial(config, name=name, backend=backend)
+    root = ProfilePartial(config, name=name)
     pending: deque = deque()
     max_inflight = processes + 2
     with make_pool(processes) as pool:
         for shard, offset, origin in _shards(
             iter_blocks(path, block_requests), shard_requests
         ):
-            pending.append(
-                pool.submit(_build_shard, config, shard, offset, origin, backend)
-            )
+            pending.append(pool.submit(_build_shard, config, shard, offset, origin))
             while len(pending) >= max_inflight:
                 root.merge(pending.popleft().result())
         while pending:

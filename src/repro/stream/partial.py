@@ -52,7 +52,7 @@ from ..core.hierarchy import HierarchyConfig, SpatialLayer
 from ..core.leaf import LeafModel, McCAddressModel, McCOperationModel
 from ..core.markov import MarkovChain
 from ..core.mcc import CONSTANT, MARKOV, McCModel
-from ..core.profiler import _build_profile_inmemory, fit_interval_leaves
+from ..core.profiler import build_profile, fit_interval_leaves
 from ..core.request import AddressRange
 
 __all__ = ["McCPartial", "LeafPartial", "ProfilePartial"]
@@ -297,7 +297,6 @@ class ProfilePartial:
         self,
         config: HierarchyConfig,
         name: str = "",
-        backend: Optional[str] = None,
         offset: int = 0,
         origin: Optional[int] = None,
     ):
@@ -306,7 +305,6 @@ class ProfilePartial:
         self.config = config
         self.layers = config.layers
         self.name = name
-        self.backend = backend
         self.offset = offset
         self.origin = origin
         self.count = 0
@@ -459,9 +457,7 @@ class ProfilePartial:
             else ColumnarTrace.concat(span.payload)
             for span in closed
         ]
-        self.models.extend(
-            fit_interval_leaves(intervals, self.layers[1:], backend=self.backend)
-        )
+        self.models.extend(fit_interval_leaves(intervals, self.layers[1:]))
 
     # -- reduction -------------------------------------------------------------
 
@@ -565,9 +561,7 @@ class ProfilePartial:
                 if len(self._blocks) == 1
                 else ColumnarTrace.concat(self._blocks)
             )
-            return _build_profile_inmemory(
-                columns, self.config, name=self.name, backend=self.backend
-            )
+            return build_profile(columns, self.config, name=self.name)
         closed: List[_Span] = []
         if self.open is not None:
             self._close_span(self.open, closed)

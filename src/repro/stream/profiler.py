@@ -24,7 +24,6 @@ def build_profile_streaming(
     config: Optional[HierarchyConfig] = None,
     *,
     name: str = "",
-    backend: Optional[str] = None,
 ):
     """Build a profile from a stream of column blocks.
 
@@ -36,7 +35,7 @@ def build_profile_streaming(
     if config is None:
         config = two_level_ts()
     registry = obs.active()
-    partial = ProfilePartial(config, name=name, backend=backend)
+    partial = ProfilePartial(config, name=name)
     for block in blocks:
         partial.feed(block)
         if registry is not None:

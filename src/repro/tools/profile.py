@@ -21,6 +21,7 @@ from ..core.leaf import LeafModel
 from ..core.profiler import build_profile
 from ..core.serialization import load_profile, save_profile
 from ..core.synthesis import synthesize
+from . import positive_int
 from .trace import load_any, save_any
 
 
@@ -69,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     create.add_argument("output")
     create.add_argument("--temporal", choices=("cycle_count", "request_count"),
                         default="cycle_count")
-    create.add_argument("--interval", type=int, default=500_000)
+    create.add_argument("--interval", type=positive_int, default=500_000)
     create.add_argument("--spatial", choices=("dynamic", "fixed"), default="dynamic")
-    create.add_argument("--block-size", type=int, default=4096)
+    create.add_argument("--block-size", type=positive_int, default=4096)
     create.add_argument("--leaf-model", choices=("mcc", "stm"), default="mcc")
     create.add_argument("--anonymous", action="store_true",
                         help="do not record the workload name in the profile")

@@ -23,6 +23,7 @@ from ..dram.config import MemoryConfig
 from ..eval.reporting import format_table
 from ..sim.multi_device import run_soc
 from ..workloads.registry import available_workloads, workload_trace
+from . import positive_int
 
 
 def _parse_device(spec: str):
@@ -103,10 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=SOURCE",
         help="a device: NAME=<workload name or profile path>; repeatable",
     )
-    run.add_argument("--requests", type=int, default=8_000,
+    run.add_argument("--requests", type=positive_int, default=8_000,
                      help="requests per device for workload sources")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--channels", type=int, default=4)
+    run.add_argument("--channels", type=positive_int, default=4)
     run.add_argument("--chargecache", action="store_true",
                      help="enable the ChargeCache extension")
     run.set_defaults(func=cmd_run)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from ..core.trace import Trace
 from ..workloads.registry import available_workloads, workload_trace
+from . import positive_int
 
 
 _CSV_SUFFIXES = (".csv", ".csv.gz")
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser("generate", help="generate a workload trace")
     generate.add_argument("workload")
     generate.add_argument("output")
-    generate.add_argument("--requests", type=int, default=100_000)
+    generate.add_argument("--requests", type=positive_int, default=100_000)
     generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(func=cmd_generate)
 

@@ -10,15 +10,11 @@ numpy genuinely uninstalled.
 import pytest
 
 from repro.core.columnar import (
-    BACKENDS,
     ColumnarTrace,
-    active_backend,
     as_columnar,
     as_scalar,
     numpy_or_none,
     resolve_backend,
-    selected_backend,
-    set_backend,
 )
 from repro.core.request import MemoryRequest, Operation
 from repro.core.trace import Trace
@@ -195,44 +191,15 @@ class TestArrayFallback:
 
 
 class TestBackendSelection:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("MOCKTAILS_BACKEND", raising=False)
-        assert selected_backend() == "auto"
-
     def test_auto_resolution_follows_numpy(self, monkeypatch):
-        monkeypatch.delenv("MOCKTAILS_BACKEND", raising=False)
         monkeypatch.setenv("MOCKTAILS_NO_NUMPY", "1")
-        assert resolve_backend("auto") == "scalar"
-        assert active_backend() == "scalar"
+        assert resolve_backend() == "scalar"
         if HAVE_NUMPY:
             monkeypatch.delenv("MOCKTAILS_NO_NUMPY")
-            assert resolve_backend("auto") == "columnar"
+            assert resolve_backend() == "columnar"
 
-    def test_explicit_backend_wins(self, monkeypatch):
-        monkeypatch.setenv("MOCKTAILS_BACKEND", "columnar")
-        assert resolve_backend("scalar") == "scalar"
-        assert resolve_backend(None) == "columnar"
-
-    def test_set_backend_writes_env(self, monkeypatch):
-        # setenv (not delenv) so monkeypatch always restores the
-        # original state after set_backend mutates os.environ.
-        monkeypatch.setenv("MOCKTAILS_BACKEND", "auto")
-        resolved = set_backend("scalar")
-        assert resolved == "scalar"
-        import os
-
-        assert os.environ["MOCKTAILS_BACKEND"] == "scalar"
-        assert set_backend(None) == active_backend()
-        assert os.environ["MOCKTAILS_BACKEND"] == "auto"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("vectorized")
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_backend("simd")
-        monkeypatch.setenv("MOCKTAILS_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="unknown backend"):
-            selected_backend()
-
-    def test_backend_names(self):
-        assert BACKENDS == ("auto", "scalar", "columnar")
+    def test_unknown_backend_rejected(self):
+        # The data path follows numpy availability; no name selects it.
+        for name in ("scalar", "columnar", "auto", "vectorized"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                resolve_backend(name)

@@ -4,7 +4,7 @@ The vectorized profiler must reproduce the scalar profiler exactly —
 down to Markov transition-dict insertion order, because serialization
 numbers states by first appearance. These tests compare canonical JSON
 of the full profile dict (which encodes that order) and the serialized
-on-disk bytes across backends, hierarchy configurations and workloads,
+on-disk bytes across data paths, hierarchy configurations and workloads,
 with and without numpy.
 """
 
@@ -12,6 +12,8 @@ import json
 
 import pytest
 
+from repro import obs
+from repro.baselines.stm import stm_leaf_factory
 from repro.core.columnar import ColumnarTrace, numpy_or_none
 from repro.core.hierarchy import micro_macro, two_level_rs, two_level_ts
 from repro.core.profiler import build_profile
@@ -42,82 +44,124 @@ CONFIGS = {
 }
 
 
+def scalar_profile(monkeypatch, trace, config, **kwargs):
+    """The scalar reference: build_profile with numpy disabled."""
+    with monkeypatch.context() as patch:
+        patch.setenv("MOCKTAILS_NO_NUMPY", "1")
+        return build_profile(trace, config, **kwargs)
+
+
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-def test_columnar_profile_bit_identical(config_name, hevc_trace):
-    """Canonical JSON matches between backends for every hierarchy shape."""
+def test_columnar_profile_bit_identical(config_name, hevc_trace, monkeypatch):
+    """Canonical JSON matches between data paths for every hierarchy shape."""
     config = CONFIGS[config_name]()
-    scalar = build_profile(hevc_trace, config, name="hevc1", backend="scalar")
-    columnar = build_profile(hevc_trace, config, name="hevc1", backend="columnar")
+    scalar = scalar_profile(monkeypatch, hevc_trace, config, name="hevc1")
+    columnar = build_profile(hevc_trace, config, name="hevc1")
     assert canonical(columnar) == canonical(scalar)
 
 
 @pytest.mark.parametrize("workload", ["mcf", "crypto1", "manhattan"])
-def test_columnar_profile_across_workloads(workload):
+def test_columnar_profile_across_workloads(workload, monkeypatch):
     trace = workload_trace(workload, num_requests=REQUESTS)
     config = two_level_ts(cycles_per_interval=50_000)
-    scalar = build_profile(trace, config, name=workload, backend="scalar")
-    columnar = build_profile(trace, config, name=workload, backend="columnar")
+    scalar = scalar_profile(monkeypatch, trace, config, name=workload)
+    columnar = build_profile(trace, config, name=workload)
     assert canonical(columnar) == canonical(scalar)
 
 
-def test_columnar_accepts_columnar_input(hevc_trace):
+def test_columnar_accepts_columnar_input(hevc_trace, monkeypatch):
     """A ColumnarTrace input avoids the object conversion and still matches."""
     config = two_level_ts(cycles_per_interval=50_000)
-    scalar = build_profile(hevc_trace, config, name="hevc1", backend="scalar")
+    scalar = scalar_profile(monkeypatch, hevc_trace, config, name="hevc1")
     columns = ColumnarTrace.from_trace(hevc_trace)
-    columnar = build_profile(columns, config, name="hevc1", backend="columnar")
+    columnar = build_profile(columns, config, name="hevc1")
     assert canonical(columnar) == canonical(scalar)
 
 
-def test_scalar_accepts_columnar_input(hevc_trace):
-    """The scalar backend transparently converts columnar input back."""
+def test_scalar_accepts_columnar_input(hevc_trace, monkeypatch):
+    """The scalar path transparently converts columnar input back."""
     config = two_level_ts(cycles_per_interval=50_000)
-    from_objects = build_profile(hevc_trace, config, name="hevc1", backend="scalar")
-    from_columns = build_profile(
-        ColumnarTrace.from_trace(hevc_trace), config, name="hevc1", backend="scalar"
+    from_objects = scalar_profile(monkeypatch, hevc_trace, config, name="hevc1")
+    from_columns = scalar_profile(
+        monkeypatch, ColumnarTrace.from_trace(hevc_trace), config, name="hevc1"
     )
     assert canonical(from_columns) == canonical(from_objects)
 
 
-def test_serialized_bytes_identical(tmp_path, hevc_trace):
-    """The on-disk profile artifact is byte-identical across backends."""
+def test_serialized_bytes_identical(tmp_path, hevc_trace, monkeypatch):
+    """The on-disk profile artifact is byte-identical across data paths."""
     config = two_level_ts(cycles_per_interval=50_000)
     scalar_path = tmp_path / "scalar.profile"
     columnar_path = tmp_path / "columnar.profile"
-    save_profile(
-        build_profile(hevc_trace, config, name="hevc1", backend="scalar"), scalar_path
-    )
-    save_profile(
-        build_profile(hevc_trace, config, name="hevc1", backend="columnar"),
-        columnar_path,
-    )
+    save_profile(scalar_profile(monkeypatch, hevc_trace, config, name="hevc1"), scalar_path)
+    save_profile(build_profile(hevc_trace, config, name="hevc1"), columnar_path)
     assert scalar_path.read_bytes() == columnar_path.read_bytes()
 
 
 def test_forced_columnar_without_numpy_matches(monkeypatch, hevc_trace):
-    """backend="columnar" without numpy falls back to scalar code, same bits."""
+    """Array-backed columns without numpy take the scalar path, same bits."""
     config = two_level_ts(cycles_per_interval=50_000)
-    reference = build_profile(hevc_trace, config, name="hevc1", backend="scalar")
+    reference = build_profile(hevc_trace, config, name="hevc1")
     monkeypatch.setenv("MOCKTAILS_NO_NUMPY", "1")
-    fallback = build_profile(hevc_trace, config, name="hevc1", backend="columnar")
+    columns = ColumnarTrace.from_trace(hevc_trace)
+    fallback = build_profile(columns, config, name="hevc1")
     assert canonical(fallback) == canonical(reference)
 
 
-def test_empty_trace_profiles_identically():
+def test_empty_trace_profiles_identically(monkeypatch):
     from repro.core.trace import Trace
 
     config = two_level_ts()
-    scalar = build_profile(Trace(), config, name="empty", backend="scalar")
-    columnar = build_profile(Trace(), config, name="empty", backend="columnar")
+    scalar = scalar_profile(monkeypatch, Trace(), config, name="empty")
+    columnar = build_profile(Trace(), config, name="empty")
     assert canonical(columnar) == canonical(scalar)
 
 
-def test_unsorted_trace_rejected_by_both_backends():
+def test_unsorted_trace_rejected_by_both_backends(monkeypatch):
     from repro.core.trace import Trace
 
     from ..conftest import req
 
     trace = Trace([req(5, 0), req(3, 64)])
-    for backend in ("scalar", "columnar"):
-        with pytest.raises(ValueError, match="sorted by timestamp"):
-            build_profile(trace, two_level_ts(), backend=backend)
+    with pytest.raises(ValueError, match="sorted by timestamp"):
+        scalar_profile(monkeypatch, trace, two_level_ts())
+    with pytest.raises(ValueError, match="sorted by timestamp"):
+        build_profile(trace, two_level_ts())
+
+
+def _fallback_counters(trace, **kwargs):
+    registry = obs.enable()
+    try:
+        build_profile(trace, two_level_ts(cycles_per_interval=50_000), **kwargs)
+    finally:
+        obs.disable()
+    return {
+        name: value
+        for name, value in registry.counters()
+        if name.startswith("profile.fallback.")
+    }
+
+
+def test_fallback_counter_no_numpy(monkeypatch, hevc_trace):
+    monkeypatch.setenv("MOCKTAILS_NO_NUMPY", "1")
+    assert _fallback_counters(hevc_trace) == {"profile.fallback.no_numpy": 1}
+
+
+def test_fallback_counter_leaf_factory(hevc_trace):
+    counters = _fallback_counters(hevc_trace, leaf_factory=stm_leaf_factory)
+    assert counters == {"profile.fallback.leaf_factory": 1}
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the int64 check runs on the numpy path")
+def test_fallback_counter_int64_range():
+    from repro.core.trace import Trace
+
+    from ..conftest import req
+
+    trace = Trace([req(2**63 + 5, 0), req(2**63 + 9, 64)])
+    assert _fallback_counters(trace) == {"profile.fallback.int64_range": 1}
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs the columnar path")
+def test_columnar_build_counts_no_fallback(hevc_trace):
+    assert _fallback_counters(hevc_trace) == {}

@@ -205,19 +205,20 @@ class TestObservability:
 
 class TestFigureJson:
     def test_fig6_quick_byte_identical(self, tmp_path, monkeypatch):
-        """The CLI figure JSON must not depend on the backend at all."""
+        """The CLI figure JSON must not depend on numpy being available."""
         from repro.eval.__main__ import main
         from repro.eval.comparison import clear_cache
 
         outputs = {}
-        for backend in ("scalar", "columnar"):
+        for no_numpy in ("", "1"):
+            monkeypatch.setenv("MOCKTAILS_NO_NUMPY", no_numpy)
             clear_cache()
-            path = tmp_path / f"fig6-{backend}.json"
+            path = tmp_path / f"fig6-{no_numpy or 'default'}.json"
             assert main([
                 "quick", "fig6", "--requests", "1200",
-                "--backend", backend, "--json-out", str(path),
+                "--no-cache", "--json-out", str(path),
             ]) == 0
-            outputs[backend] = path.read_bytes()
-        monkeypatch.delenv("MOCKTAILS_BACKEND", raising=False)
-        assert outputs["columnar"] == outputs["scalar"]
-        json.loads(outputs["scalar"])  # sanity: well-formed experiment JSON
+            outputs[no_numpy] = path.read_bytes()
+        clear_cache()
+        assert outputs["1"] == outputs[""]
+        json.loads(outputs[""])  # sanity: well-formed experiment JSON

@@ -54,7 +54,6 @@ class TestEvalCLI:
         ["quick", "fig6", "--jobs", "0"],
         ["all", "--requests", "0"],
         ["quick", "fig6", "--sample-intervals", "0"],
-        ["quick", "fig6", "--block-requests", "0"],
         ["run", "fig6", "--requests", "many"],
         ["stream", "trace.mtr", "--jobs", "-1"],
         ["stream", "trace.mtr", "--block-requests", "0"],
@@ -66,6 +65,18 @@ class TestEvalCLI:
         assert exit_info.value.code == 2
         flag = next(arg for arg in command if arg.startswith("--"))
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["quick", "fig6", "--backend", "scalar"],
+        ["quick", "fig6", "--stream"],
+        ["run", "fig6", "--block-requests", "512"],
+        ["stream", "trace.mtr", "--backend", "columnar"],
+    ], ids=" ".join)
+    def test_backend_and_stream_flags_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

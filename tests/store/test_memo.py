@@ -1,11 +1,15 @@
 """Experiment memoization: key derivation, durability, corruption recovery."""
 
+import dataclasses
+import hashlib
+import json
 import pickle
 
 import pytest
 
 import repro
 from repro import store
+from repro.core.columnar import numpy_or_none
 from repro.eval.parallel import DramJob, SizeJob, SpecJob
 from repro.store import memo as memo_module
 from repro.store.memo import ExperimentMemo, cache_key
@@ -58,30 +62,35 @@ def test_non_dataclass_jobs_rejected():
 
 
 def test_cache_key_separates_backends(monkeypatch):
-    # Columnar-era payloads must never collide with scalar-era entries,
-    # even though both backends are bit-identical by contract.
+    # A no-numpy host's payloads never collide with a numpy host's, even
+    # though both profile-build paths are bit-identical by contract.
+    if numpy_or_none() is None:
+        pytest.skip("needs numpy to compare the two paths")
     job = DramJob("hevc1", 2000)
-    monkeypatch.setenv("MOCKTAILS_BACKEND", "scalar")
-    scalar_key = cache_key(job)
-    monkeypatch.setenv("MOCKTAILS_BACKEND", "columnar")
     columnar_key = cache_key(job)
+    monkeypatch.setenv("MOCKTAILS_NO_NUMPY", "1")
+    scalar_key = cache_key(job)
     assert scalar_key != columnar_key
-    monkeypatch.setenv("MOCKTAILS_BACKEND", "scalar")
-    assert cache_key(job) == scalar_key  # live read, not cached
+    monkeypatch.delenv("MOCKTAILS_NO_NUMPY")
+    assert cache_key(job) == columnar_key  # live read, not cached
 
 
-def test_cache_key_uses_resolved_backend(monkeypatch):
-    # "auto" resolves before keying: an auto-selected columnar run shares
-    # its cache entries with an explicitly columnar one.
-    from repro.core.columnar import active_backend
-
+def test_cache_key_uses_resolved_backend():
+    # The "backend" field holds the path numpy availability selects:
+    # "columnar" on numpy hosts, which keeps their warm caches valid.
     job = DramJob("hevc1", 2000)
-    monkeypatch.setenv("MOCKTAILS_BACKEND", "auto")
-    auto_key = cache_key(job)
-    monkeypatch.setenv("MOCKTAILS_BACKEND", "auto")
-    resolved = active_backend()
-    monkeypatch.setenv("MOCKTAILS_BACKEND", resolved)
-    assert cache_key(job) == auto_key
+    canonical = json.dumps(
+        {
+            "env": memo_module._environment_fingerprint(),
+            "backend": "columnar" if numpy_or_none() is not None else "scalar",
+            "sampling": "off",
+            "kind": "DramJob",
+            "fields": dataclasses.asdict(job),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    assert cache_key(job) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ bytes as ``core/profiler.build_profile`` over the whole trace.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core.columnar import ColumnarTrace
@@ -24,11 +22,7 @@ from repro.core.hierarchy import (
 )
 from repro.core.profiler import build_profile
 from repro.core.serialization import profile_to_dict, save_profile
-from repro.stream import (
-    build_profile_sharded,
-    build_profile_streaming,
-    set_stream_mode,
-)
+from repro.stream import build_profile_sharded, build_profile_streaming
 from repro.stream.partial import ProfilePartial
 
 from .conftest import synthetic_trace
@@ -52,7 +46,7 @@ def test_streamed_bytes_identical_across_block_sizes(
     config_name, stream_trace, stream_columns, tmp_path
 ):
     config = CONFIGS[config_name]()
-    reference = build_profile(stream_trace, config, name="t", stream=False)
+    reference = build_profile(stream_trace, config, name="t")
     ref_path = tmp_path / "ref.json.gz"
     save_profile(reference, ref_path)
     for block_requests in (1, 7, 1000, len(stream_trace)):
@@ -68,7 +62,7 @@ def test_streamed_bytes_identical_across_block_sizes(
 
 def test_streamed_empty_trace(stream_trace):
     config = two_level_ts()
-    reference = build_profile(stream_trace[:0], config, stream=False)
+    reference = build_profile(stream_trace[:0], config)
     streamed = build_profile_streaming(iter(()), config)
     assert profile_to_dict(streamed) == profile_to_dict(reference)
 
@@ -76,7 +70,7 @@ def test_streamed_empty_trace(stream_trace):
 @pytest.mark.parametrize("config_name", ["2lts", "pure-cycle-count", "spatial-outer"])
 def test_sharded_build_identical(config_name, stream_trace, stream_columns, tmp_path):
     config = CONFIGS[config_name]()
-    expected = profile_to_dict(build_profile(stream_trace, config, stream=False))
+    expected = profile_to_dict(build_profile(stream_trace, config))
     trace_path = tmp_path / "t.mtr.gz"
     stream_trace.save_binary(trace_path)
     for jobs in (1, 2):
@@ -130,37 +124,12 @@ def test_cross_block_regression_rejected():
         partial.feed(ColumnarTrace([5], [0x180], [64], [0]))
 
 
-def test_env_switch_routes_build_profile(stream_trace):
-    """MOCKTAILS_STREAM reroutes build_profile through the streaming path."""
-    expected = profile_to_dict(build_profile(stream_trace, stream=False))
-    set_stream_mode(True, block_requests=123)
-    try:
-        assert os.environ["MOCKTAILS_STREAM"] == "1"
-        assert os.environ["MOCKTAILS_STREAM_BLOCK_REQUESTS"] == "123"
-        assert profile_to_dict(build_profile(stream_trace)) == expected
-    finally:
-        set_stream_mode(False)
-    assert "MOCKTAILS_STREAM" not in os.environ
-    assert "MOCKTAILS_STREAM_BLOCK_REQUESTS" not in os.environ
-    assert profile_to_dict(build_profile(stream_trace)) == expected
-
-
-def test_stream_true_requires_default_leaf_factory(stream_trace):
-    with pytest.raises(ValueError, match="leaf factory"):
-        build_profile(
-            stream_trace, stream=True, leaf_factory=lambda requests, region: None
-        )
-
-
-def test_streamed_scalar_backend_identical(stream_trace, stream_columns):
-    """backend='scalar' streams bit-identically to the columnar default."""
+def test_streamed_scalar_backend_identical(stream_trace, stream_columns, monkeypatch):
+    """Without numpy the stream builds bit-identically to the scalar path."""
     config = two_level_ts()
-    expected = profile_to_dict(
-        build_profile(stream_trace, config, stream=False, backend="scalar")
-    )
-    streamed = build_profile_streaming(
-        stream_columns.iter_blocks(256), config, backend="scalar"
-    )
+    monkeypatch.setenv("MOCKTAILS_NO_NUMPY", "1")
+    expected = profile_to_dict(build_profile(stream_trace, config))
+    streamed = build_profile_streaming(stream_columns.iter_blocks(256), config)
     assert profile_to_dict(streamed) == expected
 
 
@@ -170,7 +139,7 @@ def test_long_trace_with_wide_gaps():
     config = HierarchyConfig(
         [TemporalLayer("cycle_count", 5000), SpatialLayer("fixed", 1 << 20)]
     )
-    expected = profile_to_dict(build_profile(trace, config, stream=False))
+    expected = profile_to_dict(build_profile(trace, config))
     columns = ColumnarTrace.from_trace(trace)
     for block_requests in (1, 64, 997):
         streamed = build_profile_streaming(columns.iter_blocks(block_requests), config)

@@ -24,7 +24,7 @@ from repro.sim.driver import simulate_blocks, simulate_trace
 
 @pytest.fixture
 def profile(stream_trace):
-    return build_profile(stream_trace, name="t", stream=False)
+    return build_profile(stream_trace, name="t")
 
 
 @pytest.mark.parametrize("suffix", [".mtr", ".mtr.gz", ".csv", ".csv.gz"])

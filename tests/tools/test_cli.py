@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.trace import Trace
 from repro.tools import profile as profile_tool
+from repro.tools import soc as soc_tool
 from repro.tools import trace as trace_tool
 
 
@@ -14,6 +15,26 @@ def trace_file(tmp_path):
         ["generate", "crypto1", str(path), "--requests", "2000"]
     ) == 0
     return path
+
+
+TOOLS = {"trace": trace_tool, "soc": soc_tool, "profile": profile_tool}
+
+
+@pytest.mark.parametrize("command", [
+    ["trace", "generate", "hevc1", "{tmp}/out.mtr", "--requests", "-3"],
+    ["soc", "run", "--device", "gpu=hevc1", "--requests", "-4"],
+    ["soc", "run", "--channels", "0"],
+    ["profile", "create", "{trace}", "{tmp}/out.mprof.gz", "--interval", "0"],
+    ["profile", "create", "{trace}", "{tmp}/out.mprof.gz", "--spatial", "fixed",
+     "--block-size", "0"],
+], ids=" ".join)
+def test_non_positive_counts_are_usage_errors(command, trace_file, tmp_path, capsys):
+    argv = [arg.format(trace=trace_file, tmp=tmp_path) for arg in command[1:]]
+    with pytest.raises(SystemExit) as exit_info:
+        TOOLS[command[0]].main(argv)
+    assert exit_info.value.code == 2
+    flag = next(arg for arg in reversed(command) if arg.startswith("--"))
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestTraceTool:
