@@ -49,6 +49,8 @@ class StrideTable:
         self.rows = rows
         self.global_counts = global_counts
         self.max_history = max_history
+        # Unconsumed counts of the rows generation has touched.
+        self._remaining: Dict[Tuple[int, ...], Counter] = {}
 
     @classmethod
     def fit(cls, strides: Sequence[int], max_history: int = MAX_STRIDE_HISTORY) -> "StrideTable":
@@ -71,10 +73,17 @@ class StrideTable:
         return rng.choices(values, weights=weights, k=1)[0]
 
     def next_stride(self, history: Sequence[int], rng: random.Random) -> int:
-        """Sample the next stride given recent history, consuming counts."""
+        """Sample the next stride given recent history, consuming counts.
+
+        Counts are consumed from this table's own copy of each row,
+        taken on first touch, so ``rows`` keeps the fitted counts.
+        """
         history = tuple(history[-self.max_history :])
         for start in range(len(history)):
-            row = self.rows.get(history[start:])
+            key = history[start:]
+            row = self._remaining.get(key)
+            if row is None and key in self.rows:
+                row = self._remaining[key] = Counter(self.rows[key])
             if row and sum(row.values()) > 0:
                 stride = self._sample(row, rng)
                 row[stride] -= 1
@@ -151,6 +160,13 @@ class STMAddressModel(AddressModel):
     def generate(self, rng: random.Random, strict: bool = True) -> List[int]:
         # The stride table already consumes counts, so `strict` has no
         # extra effect here; the argument is accepted for interface parity.
+        # A fresh table over the fitted rows consumes its own copies of
+        # them, so every call with the same seed gives the same stream.
+        table = StrideTable(
+            self.stride_table.rows,
+            self.stride_table.global_counts,
+            self.stride_table.max_history,
+        )
         addresses = [self.start_address]
         lru: List[int] = [self.start_address]
         history: List[int] = []
@@ -160,7 +176,7 @@ class STMAddressModel(AddressModel):
                 address = lru[distance]
                 lru.remove(address)
             else:
-                stride = self.stride_table.next_stride(history, rng)
+                stride = table.next_stride(history, rng)
                 history.append(stride)
                 address = wrap_address(addresses[-1] + stride, self.region)
                 if address in lru:

@@ -50,6 +50,14 @@ class TestStrideTable:
         # Both observed (5->5) transitions consumed; falls back to global.
         assert table.next_stride([5], rng) == 5
 
+    def test_consuming_counts_leaves_rows_intact(self):
+        table = StrideTable.fit([5, 5, 5])
+        fitted = {history: Counter(row) for history, row in table.rows.items()}
+        rng = random.Random(0)
+        table.next_stride([5], rng)
+        table.next_stride([5], rng)
+        assert table.rows == fitted
+
     def test_roundtrip(self):
         table = StrideTable.fit([1, 2, 3, 1, 2, 3])
         restored = StrideTable.from_dict(table.to_dict())
@@ -145,6 +153,17 @@ class TestSTMLeafFactory:
         assert len(synthetic) == len(mixed_trace)
         assert synthetic.read_count() == mixed_trace.read_count()
         assert synthetic.is_sorted()
+
+    def test_synthesis_repeats_and_leaves_profile_intact(self):
+        from repro.core.serialization import profile_to_dict
+        from repro.workloads import workload_trace
+
+        trace = workload_trace("hevc1", num_requests=4000)
+        profile = build_profile(trace, leaf_factory=stm_leaf_factory)
+        fitted = profile_to_dict(profile)
+        first = synthesize(profile, seed=1)
+        assert synthesize(profile, seed=1) == first
+        assert profile_to_dict(profile) == fitted
 
     def test_leaf_metadata_matches_mcc(self, mixed_trace):
         stm_profile = build_profile(mixed_trace, leaf_factory=stm_leaf_factory)
