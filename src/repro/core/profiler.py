@@ -32,7 +32,6 @@ from .hierarchy import (
     HierarchyConfig,
     SpatialLayer,
     TemporalLayer,
-    _build as _hierarchy_build,
     build_leaves,
     two_level_ts,
 )
@@ -102,77 +101,6 @@ def _count_fallback(reason: str) -> None:
     registry = obs.active()
     if registry is not None:
         registry.counter(f"profile.fallback.{reason}").inc()
-
-
-def fit_interval_leaves(intervals, layers) -> List[LeafModel]:
-    """Fit every leaf model of a batch of completed hierarchy intervals.
-
-    Each interval is a :class:`~repro.core.columnar.ColumnarTrace`
-    holding one closed bin of an outer temporal layer; ``layers`` are the
-    hierarchy layers *below* that outer layer (empty when the outer layer
-    is the whole hierarchy, so each interval is itself a leaf). Returns
-    the concatenation of every interval's leaf models in interval order,
-    bit-identical to the single-pass profiler's models for those bins.
-
-    This is the reduce-side fitting primitive of the streaming profiler:
-    :class:`repro.stream.ProfilePartial` collects closed intervals and
-    fits them in batches through this function, so the batched columnar
-    kernels amortize over many intervals per call.
-    """
-    from .columnar import ColumnarTrace, numpy_or_none
-
-    intervals = [interval for interval in intervals if len(interval)]
-    if not intervals:
-        return []
-    layers = tuple(layers)
-
-    np = numpy_or_none()
-    if np is not None:
-        models = _fit_interval_leaves_columnar(np, intervals, layers)
-        if models is not None:
-            return models
-
-    models = []
-    for interval in intervals:
-        requests = (
-            interval.to_trace().requests
-            if isinstance(interval, ColumnarTrace)
-            else list(interval)
-        )
-        for i in range(len(requests) - 1):
-            if requests[i].timestamp > requests[i + 1].timestamp:
-                raise ValueError("requests must be sorted by timestamp")
-        for leaf in _hierarchy_build(list(requests), layers, None):
-            models.append(LeafModel.fit(leaf.requests, leaf.region))
-    return models
-
-
-def _fit_interval_leaves_columnar(np, intervals, layers):
-    """Columnar ``fit_interval_leaves``, or ``None`` to fall back."""
-    from .columnar import ColumnarTrace
-
-    columns = ColumnarTrace.concat(intervals) if len(intervals) > 1 else intervals[0]
-    if int(np.max(columns.timestamps)) > _INT64_MAX:
-        return None
-    if int(np.max(columns.addresses)) + int(np.max(columns.sizes)) > _INT64_MAX:
-        return None
-
-    timestamps = columns.timestamps.astype(np.int64)
-    addresses = columns.addresses.astype(np.int64)
-    sizes = columns.sizes.astype(np.int64)
-    ops = columns.ops.astype(np.int64)
-
-    segments = []
-    base = 0
-    for interval in intervals:
-        stop = base + len(interval)
-        window = timestamps[base:stop]
-        if len(window) > 1 and bool(np.any(window[1:] < window[:-1])):
-            raise ValueError("requests must be sorted by timestamp")
-        indices = np.arange(base, stop, dtype=np.int64)
-        segments.extend(_leaf_segments(np, timestamps, addresses, sizes, layers, indices, None))
-        base = stop
-    return _fit_leaves_batched(np, timestamps, addresses, sizes, ops, segments)
 
 
 # -- columnar path -------------------------------------------------------------

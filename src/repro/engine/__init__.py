@@ -2,7 +2,7 @@
 
 The repo's expensive work decomposes into deterministic *jobs*: frozen
 dataclasses whose fields completely describe one computation (one
-DRAM-comparison trio, one SPEC synthetic set, one sampling report).
+DRAM-comparison trio, one SPEC synthetic set, one size measurement).
 Before this package they lived inside ``repro.eval.parallel``, fused to
 the experiment runners; ``repro.engine`` is that job model as a layer
 of its own:
@@ -24,7 +24,6 @@ same job" means.
 from .jobs import (
     DramJob,
     Job,
-    SampleJob,
     SizeJob,
     SpecJob,
     execute_job,
@@ -38,7 +37,6 @@ from .prewarm import prewarm
 __all__ = [
     "DramJob",
     "Job",
-    "SampleJob",
     "SizeJob",
     "SpecJob",
     "default_processes",

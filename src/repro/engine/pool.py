@@ -1,8 +1,6 @@
-"""Worker-pool construction shared by every fan-out in the repo.
+"""Worker-pool construction for the experiment prewarm fan-out.
 
-Moved here from ``repro.eval.parallel`` so the streaming profiler's
-shard fan-out and the experiment prewarm build identical pools:
-fork-preferred (cheap workers), observability disabled in children
+Fork-preferred (cheap workers), observability disabled in children
 (their registries would die with the process and a forked JSONL handle
 would interleave with the parent's stream).
 """
@@ -29,8 +27,8 @@ def make_pool(processes: int) -> ProcessPoolExecutor:
     """A worker pool with the repo's standard setup (observability
     disabled in workers).
 
-    Every caller builds its pool from a single-threaded main (stream
-    shards, prewarm), so fork is safe there and keeps workers cheap;
+    The prewarm builds its pool from a single-threaded main, so fork is
+    safe there and keeps workers cheap;
     spawn works too because jobs and payloads are plain picklable
     dataclasses.
     """

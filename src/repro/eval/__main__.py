@@ -150,23 +150,6 @@ def _print_fig17(result) -> None:
     print(format_table(["benchmark", "trace B", "dynamic B", "4KB B", "ratio"], rows))
 
 
-def _print_sampling(result) -> None:
-    rows = []
-    for name, data in result.items():
-        rows.append([
-            name,
-            data["interval_count"],
-            data["k"],
-            "yes" if data["exact"] else "no",
-            f"{data['geomean_error_percent']:.2f}",
-            f"{data['error_bound_percent']:.2f}",
-            "yes" if data["within_bound"] else "NO",
-        ])
-    print(format_table(
-        ["workload", "intervals", "K", "exact", "geomean err %",
-         "bound %", "within"], rows))
-
-
 EXPERIMENTS = {
     "fig2": (experiments.figure_2, _print_fig2),
     "fig3": (experiments.figure_3, _print_fig3),
@@ -187,7 +170,6 @@ EXPERIMENTS = {
     "fig17": (experiments.figure_17, _print_fig17),
     "ext-chargecache": (experiments.extension_chargecache, None),
     "ext-soc": (experiments.extension_soc, None),
-    "sampling": (experiments.sampling_fidelity, _print_sampling),
 }
 
 
@@ -288,104 +270,6 @@ def run_cache_command(args) -> int:
     raise AssertionError(f"unknown cache command: {args.cache_command}")  # pragma: no cover
 
 
-def run_stream_command(args) -> int:
-    """The ``stream`` subcommand: out-of-core profile build + replay."""
-    from ..core.hierarchy import micro_macro, two_level_rs, two_level_ts
-    from ..stream import DEFAULT_BLOCK_REQUESTS, iter_blocks
-
-    config = {
-        "2lts": two_level_ts,
-        "2lrs": two_level_rs,
-        "micro-macro": micro_macro,
-    }[args.config]()
-    block_requests = (
-        args.block_requests if args.block_requests is not None else DEFAULT_BLOCK_REQUESTS
-    )
-
-    start = time.perf_counter()
-    if args.sample_intervals is not None:
-        # Statistical sampling: fingerprint every outer interval in one
-        # streaming pass, then fit only the K representatives (second
-        # pass). Peak memory stays O(interval).
-        from ..sample import sampled_profile_from_file
-
-        profile, plan = sampled_profile_from_file(
-            args.trace,
-            config,
-            k=args.sample_intervals,
-            seed=args.sample_seed or 0,
-            block_requests=block_requests,
-        )
-        elapsed = time.perf_counter() - start
-        total_requests = sum(leaf.count for leaf in profile)
-        mode = (
-            "exact (K covers every interval)"
-            if plan.exact
-            else f"error bound {plan.error_bound_percent:.1f}%"
-        )
-        print(
-            f"sampled {len(plan.representatives)} of {plan.interval_count} "
-            f"intervals ({mode}); profiled {total_requests:,} requests into "
-            f"{len(profile)} leaves in {elapsed:.1f}s "
-            f"(blocks of {block_requests:,})"
-        )
-    elif args.jobs > 1:
-        from ..stream import build_profile_sharded
-
-        profile = build_profile_sharded(
-            args.trace,
-            config,
-            jobs=args.jobs,
-            block_requests=block_requests,
-        )
-        elapsed = time.perf_counter() - start
-        total_requests = sum(leaf.count for leaf in profile)
-        print(
-            f"profiled {total_requests:,} requests into {len(profile)} leaves "
-            f"in {elapsed:.1f}s (blocks of {block_requests:,}, {args.jobs} jobs)"
-        )
-    else:
-        from ..stream import build_profile_streaming
-
-        profile = build_profile_streaming(iter_blocks(args.trace, block_requests), config)
-        elapsed = time.perf_counter() - start
-        total_requests = sum(leaf.count for leaf in profile)
-        print(
-            f"profiled {total_requests:,} requests into {len(profile)} leaves "
-            f"in {elapsed:.1f}s (blocks of {block_requests:,})"
-        )
-
-    if args.profile_out:
-        from ..core.serialization import save_profile
-
-        size = save_profile(profile, args.profile_out)
-        print(f"wrote profile to {args.profile_out} ({_format_bytes(size)})")
-
-    if args.replay == "cache":
-        from ..sim.cache_driver import run_cache_blocks
-
-        start = time.perf_counter()
-        result = run_cache_blocks(iter_blocks(args.trace, block_requests))
-        elapsed = time.perf_counter() - start
-        print(
-            f"cache replay ({elapsed:.1f}s): "
-            f"L1 miss rate {result.l1_miss_rate:.4f}, "
-            f"L2 miss rate {result.l2_miss_rate:.4f}"
-        )
-    elif args.replay == "dram":
-        from ..sim.driver import simulate_blocks
-
-        start = time.perf_counter()
-        stats = simulate_blocks(iter_blocks(args.trace, block_requests))
-        elapsed = time.perf_counter() - start
-        print(
-            f"dram replay ({elapsed:.1f}s): "
-            f"{stats.latency_count:,} accesses, "
-            f"avg latency {stats.avg_access_latency:.1f} cycles"
-        )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
@@ -434,53 +318,6 @@ def main(argv=None) -> int:
             help="validate every simulated request against the trace "
                  "invariants (monotonic timestamps, legal addresses and "
                  "operations); fails fast on the first violation")
-        command.add_argument(
-            "--sample-intervals", type=positive_int, default=None, metavar="K",
-            help="statistical sampling: cluster each trace's outer "
-                 "temporal intervals and simulate only K weighted "
-                 "representatives (repro.sample); K >= the interval "
-                 "count reproduces the full pipeline byte-identically. "
-                 "Used by the 'sampling' experiment")
-        command.add_argument(
-            "--sample-seed", type=int, default=None, metavar="SEED",
-            help="clustering seed for --sample-intervals (default 0; "
-                 "results are deterministic for a fixed seed)")
-
-    stream = sub.add_parser(
-        "stream",
-        help="profile (and optionally replay) a trace file out-of-core",
-        description="Stream a .mtr/.csv trace (plain or gz) through the "
-                    "chunked profile build without ever loading it whole; "
-                    "optionally replay it through the cache or DRAM "
-                    "simulators the same way.",
-    )
-    stream.add_argument("trace", help="trace file (.mtr/.csv, optionally .gz)")
-    stream.add_argument(
-        "--config", choices=("2lts", "2lrs", "micro-macro"), default="2lts",
-        help="hierarchy configuration (default 2lts, the paper's "
-             "two-level temporal/spatial split)")
-    stream.add_argument(
-        "--profile-out", metavar="PATH", default=None,
-        help="save the resulting profile (gzip JSON) to PATH")
-    stream.add_argument(
-        "--replay", choices=("none", "cache", "dram"), default="none",
-        help="additionally replay the trace block-by-block through the "
-             "L1/L2 cache or the crossbar+DRAM simulator")
-    stream.add_argument(
-        "--jobs", type=positive_int, default=1,
-        help="worker processes for the sharded map-reduce build "
-             "(default 1 = sequential; results are identical)")
-    stream.add_argument(
-        "--block-requests", type=positive_int, default=None, metavar="N",
-        help="requests per streamed block (default 8,192)")
-    stream.add_argument(
-        "--sample-intervals", type=positive_int, default=None, metavar="K",
-        help="profile only K representative outer intervals (two "
-             "streaming passes: fingerprint, then fit; K >= the "
-             "interval count is byte-identical to the full build)")
-    stream.add_argument(
-        "--sample-seed", type=int, default=None, metavar="SEED",
-        help="clustering seed for --sample-intervals (default 0)")
 
     cache = sub.add_parser(
         "cache", help="inspect and maintain the cross-run result cache"
@@ -515,21 +352,6 @@ def main(argv=None) -> int:
         return 0
     if args.command == "cache":
         return run_cache_command(args)
-    if args.command == "stream":
-        return run_stream_command(args)
-
-    sample_env = None
-    if args.sample_intervals is not None:
-        # set_sampling records the choice in MOCKTAILS_SAMPLE_INTERVALS /
-        # MOCKTAILS_SAMPLE_SEED, so parallel workers inherit it and
-        # repro.store.memo folds it into every cache key; the prior
-        # values are restored on the way out.
-        import os
-
-        from ..sample import _K_ENV, _SEED_ENV, set_sampling
-
-        sample_env = {key: os.environ.get(key) for key in (_K_ENV, _SEED_ENV)}
-        set_sampling(args.sample_intervals, args.sample_seed)
 
     registry = None
     if args.metrics_out or args.trace_events:
@@ -576,14 +398,6 @@ def main(argv=None) -> int:
             print(f"wrote {registry.sink.emitted if registry.sink else 0:,} "
                   f"events to {args.trace_events}")
     finally:
-        if sample_env is not None:
-            import os
-
-            for key, value in sample_env.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
         if args.sanitize:
             from ..lint import sanitize as lint_sanitize
 

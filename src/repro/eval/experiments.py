@@ -24,10 +24,9 @@ from ..core.spatial import partition_dynamic, partition_fixed
 from ..core.synthesis import synthesize
 from ..core.trace import Trace
 from ..sim.cache_driver import run_cache_trace
-from ..workloads.registry import TABLE_II_DEVICES, TABLE_II_WORKLOADS, make_generator
+from ..workloads.registry import TABLE_II_DEVICES, make_generator
 from ..workloads.spec import FIG15_BENCHMARKS, SPEC_BENCHMARKS
 from .comparison import (
-    DEFAULT_INTERVAL,
     DEFAULT_REQUESTS,
     baseline_trace,
     dram_comparison,
@@ -451,85 +450,6 @@ def figure_17(
     benchmarks = list(benchmarks) if benchmarks is not None else SPEC_BENCHMARKS
     return {
         benchmark: spec_size_record(benchmark, num_requests) for benchmark in benchmarks
-    }
-
-
-# ---------------------------------------------------------------------------
-# Statistical sampling fidelity (repro.sample)
-# ---------------------------------------------------------------------------
-
-_SAMPLING_CACHE: Dict[Tuple, dict] = {}
-
-
-def sampling_report_for(
-    name: str,
-    num_requests: int = DEFAULT_REQUESTS,
-    seed: int = 0,
-    interval: int = DEFAULT_INTERVAL,
-    k: Optional[int] = None,
-    sample_seed: int = 0,
-) -> dict:
-    """Predicted-vs-full sampling error for one workload (cached).
-
-    Runs :func:`repro.sample.sampling_comparison` under the paper's
-    Sec. IV methodology (``2L-TS`` hierarchy, synthesis seed
-    ``seed + 1``) and returns the report as a plain dict. ``k=None``
-    uses the ~10% per-trace default.
-    """
-    key = (name, num_requests, seed, interval, k, sample_seed)
-    cached = _SAMPLING_CACHE.get(key)
-    if cached is not None:
-        return cached
-    from ..sample import sampling_comparison
-
-    trace = baseline_trace(name, num_requests, seed)
-    config = two_level_ts(cycles_per_interval=interval)
-    report = sampling_comparison(
-        trace,
-        config,
-        k=k,
-        seed=sample_seed,
-        synthesis_seed=seed + 1,
-        name=name,
-    )
-    record = report.to_dict()
-    _SAMPLING_CACHE[key] = record
-    return record
-
-
-def sampling_fidelity(
-    num_requests: int = DEFAULT_REQUESTS,
-    workloads: Optional[Sequence[str]] = None,
-    interval: int = DEFAULT_INTERVAL,
-    k: Optional[int] = None,
-    sample_seed: Optional[int] = None,
-) -> Dict[str, dict]:
-    """Sampling accuracy report across the Table II workloads.
-
-    For every workload: the sampled estimate's percent error against
-    the full pipeline on the Fig. 6/13/14 metrics, the plan's declared
-    error bound, and whether the measurement honours it. ``k`` and
-    ``sample_seed`` default to the process-wide configuration
-    (``MOCKTAILS_SAMPLE_INTERVALS`` / ``MOCKTAILS_SAMPLE_SEED``, e.g.
-    via the ``--sample-intervals`` CLI flag), then to the ~10%
-    per-trace default.
-    """
-    from ..sample import configured_sample_intervals, configured_sample_seed
-
-    if k is None:
-        k = configured_sample_intervals()
-    if sample_seed is None:
-        sample_seed = configured_sample_seed()
-    names = TABLE_II_WORKLOADS if workloads is None else list(workloads)
-    return {
-        name: sampling_report_for(
-            name,
-            num_requests,
-            interval=interval,
-            k=k,
-            sample_seed=sample_seed,
-        )
-        for name in names
     }
 
 

@@ -1,10 +1,9 @@
 """Experiment-side client of the shared job engine (:mod:`repro.engine`).
 
 The job model that used to live here — the ``DramJob``/``SpecJob``/
-``SizeJob``/``SampleJob`` dataclasses, ``execute_job``, the pool
-construction and the ``prewarm`` fan-out with its per-key lock protocol
-— moved to :mod:`repro.engine` so the experiment runners and the
-streaming profiler's shard fan-out share one pool and one job registry.
+``SizeJob`` dataclasses, ``execute_job``, the pool construction and the
+``prewarm`` fan-out with its per-key lock protocol — lives in
+:mod:`repro.engine`.
 This module keeps the experiment-specific half: mapping an
 experiment name to its unit-job list (:func:`jobs_for`) and the
 prewarm-then-aggregate convenience (:func:`run_experiment`).
@@ -34,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..engine import (
     DramJob,
     Job,
-    SampleJob,
     SizeJob,
     SpecJob,
     default_processes,
@@ -53,7 +51,6 @@ __all__ = [
     "DramJob",
     "JOB_BUILDERS",
     "Job",
-    "SampleJob",
     "SizeJob",
     "SpecJob",
     "default_processes",
@@ -63,11 +60,6 @@ __all__ = [
     "prewarm",
     "run_experiment",
 ]
-
-# Kept for the streaming profiler's shard fan-out, which historically
-# imported the pool factory under this name.
-_make_pool = make_pool
-
 
 # ---------------------------------------------------------------------------
 # Experiment -> job-list mapping
@@ -115,27 +107,6 @@ def _fig17_jobs(
     return [SizeJob(benchmark, num_requests) for benchmark in names]
 
 
-def _sampling_jobs(
-    num_requests: int,
-    workloads: Optional[Sequence[str]] = None,
-    k: Optional[int] = None,
-    sample_seed: Optional[int] = None,
-    **_: object,
-) -> List[Job]:
-    # Resolve the process-wide sampling configuration here so the jobs
-    # (and therefore the memo cache keys) carry explicit parameters.
-    from ..sample import configured_sample_intervals, configured_sample_seed
-
-    if k is None:
-        k = configured_sample_intervals()
-    if sample_seed is None:
-        sample_seed = configured_sample_seed()
-    names = TABLE_II_WORKLOADS if workloads is None else workloads
-    return [
-        SampleJob(name, num_requests, k=k, sample_seed=sample_seed) for name in names
-    ]
-
-
 JOB_BUILDERS: Dict[str, Callable[..., List[Job]]] = {
     "fig6": _device_sweep,
     "fig7": _device_sweep,
@@ -149,7 +120,6 @@ JOB_BUILDERS: Dict[str, Callable[..., List[Job]]] = {
     "fig15": _spec_sweep(tuple(FIG15_BENCHMARKS)),
     "fig16": _spec_sweep(tuple(FIG15_BENCHMARKS)),
     "fig17": _fig17_jobs,
-    "sampling": _sampling_jobs,
 }
 
 
@@ -183,4 +153,3 @@ def run_experiment(
 _RUNNER_NAMES = {
     name: f"figure_{name[3:]}" for name in JOB_BUILDERS if name.startswith("fig")
 }
-_RUNNER_NAMES["sampling"] = "sampling_fidelity"

@@ -25,8 +25,6 @@ HOT_PATH_MODULES: Tuple[Tuple[str, ...], ...] = (
     ("dram", "batched.py"),
     ("interconnect", "crossbar.py"),
     ("obs", "registry.py"),
-    ("sample", "fingerprint.py"),
-    ("sample", "cluster.py"),
 )
 
 _ENUM_BASES = {"Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"}

@@ -88,19 +88,6 @@ def _environment_fingerprint() -> str:
     return _fingerprint_cache
 
 
-def _active_sampling() -> str:
-    """The live sampling configuration (``"off"`` or ``k=K:seed=S``).
-
-    Read per key, not cached: ``MOCKTAILS_SAMPLE_INTERVALS`` can change
-    mid-process (CLI flags set and restore it around a run), and a
-    sampled estimate must never alias the full pipeline's payload in the
-    store.
-    """
-    from ..sample import sampling_fingerprint
-
-    return sampling_fingerprint()
-
-
 def cache_key(job: Any) -> str:
     """Stable hex cache key for one job dataclass."""
     if not dataclasses.is_dataclass(job):
@@ -112,7 +99,6 @@ def cache_key(job: Any) -> str:
         {
             "env": _environment_fingerprint(),
             "backend": resolve_backend(),
-            "sampling": _active_sampling(),
             "kind": type(job).__name__,
             "fields": dataclasses.asdict(job),
         },

@@ -12,12 +12,9 @@ request object per emit. :meth:`TraceBuilder.build` still materializes a
 :class:`Trace` — the historical contract — while
 :meth:`TraceBuilder.build_columnar` hands the columns to a
 :class:`~repro.core.columnar.ColumnarTrace` without ever constructing
-request objects. :meth:`WorkloadGenerator.generate_columnar` and
-:meth:`WorkloadGenerator.generate_blocks` expose the same switch at the
-generator level: identical RNG streams, identical requests, different
-container. Column blocks from ``generate_blocks`` stream straight into
-the columnar profiler and the batched cache/DRAM replay without holding
-per-request objects anywhere.
+request objects. :meth:`WorkloadGenerator.generate_columnar` exposes the
+same switch at the generator level: identical RNG streams, identical
+requests, different container.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import random
 import zlib
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..core.columnar import ColumnarTrace
 from ..core.request import MemoryRequest, Operation
@@ -174,17 +171,6 @@ class WorkloadGenerator:
             return result
         # Generator built its trace without a TraceBuilder; convert.
         return ColumnarTrace.from_trace(result)
-
-    def generate_blocks(
-        self, num_requests: int, block_requests: int = 8192
-    ) -> Iterator[ColumnarTrace]:
-        """Generate as a stream of column blocks (chunked generation).
-
-        Concatenating the blocks reproduces :meth:`generate_columnar`
-        exactly; consumers (profiler, batched cache replay) process one
-        block at a time instead of holding per-request objects.
-        """
-        yield from self.generate_columnar(num_requests).iter_blocks(block_requests)
 
     def _rng(self, salt: int = 0) -> random.Random:
         # crc32 rather than hash(): string hashing is randomized per

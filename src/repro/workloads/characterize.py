@@ -2,9 +2,8 @@
 
 Summarizes a trace the way the paper characterizes its proprietary
 inputs: volume, read/write mix, footprint, request-size mix, burstiness
-and stride regularity. Used by ``repro.tools.trace characterize``, by
-tests that pin each generator's personality, and — per interval — by the
-sampling fingerprints of :mod:`repro.sample`.
+and stride regularity. Used by ``repro.tools.trace characterize`` and by
+tests that pin each generator's personality.
 
 :func:`characterize` accepts either trace backend
 (:class:`~repro.core.trace.Trace` or

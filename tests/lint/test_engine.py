@@ -88,8 +88,8 @@ def test_module_parts_extraction():
     assert _module_parts("repro/obs/clock.py") == ("obs", "clock.py")
     # outside the repro package the full path is kept, which never
     # matches a (package, module) scope tuple
-    assert _module_parts("scripts/stream_memcheck.py") == (
-        "scripts", "stream_memcheck.py")
+    assert _module_parts("benchmarks/conftest.py") == (
+        "benchmarks", "conftest.py")
 
 
 def test_iter_python_files_skips_pycache(tmp_path):

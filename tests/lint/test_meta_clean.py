@@ -22,12 +22,13 @@ def test_repo_source_is_lint_clean():
 
 
 def test_scripts_are_lint_clean():
-    scripts = Path(__file__).resolve().parents[2] / "scripts"
+    root = Path(__file__).resolve().parents[2]
     findings = [
         finding
-        for finding in lint_paths([scripts])
-        # scripts/ sits outside the repro package, so module-scoped
-        # exemptions don't apply; hold it to the determinism rules.
+        for finding in lint_paths([root / "examples", root / "benchmarks"])
+        # The example and benchmark scripts sit outside the repro
+        # package, so module-scoped exemptions don't apply; hold them
+        # to the determinism rules.
         if finding.rule_id.startswith("det-")
     ]
     rendered = "\n".join(finding.render() for finding in findings)

@@ -83,7 +83,6 @@ def test_cache_key_uses_resolved_backend():
         {
             "env": memo_module._environment_fingerprint(),
             "backend": "columnar" if numpy_or_none() is not None else "scalar",
-            "sampling": "off",
             "kind": "DramJob",
             "fields": dataclasses.asdict(job),
         },

@@ -1,8 +1,8 @@
-"""Columnar/chunked workload generation (TraceBuilder columns, blocks).
+"""Columnar workload generation (TraceBuilder columns).
 
 ``generate_columnar`` must emit exactly the requests ``generate`` does —
 the generators' RNG streams are untouched, only the output container
-changes — and ``generate_blocks`` must chunk that stream losslessly.
+changes.
 """
 
 import pytest
@@ -24,14 +24,6 @@ def test_generate_columnar_matches_generate(name):
     columns = make_generator(name, seed=7).generate_columnar(REQUESTS)
     assert isinstance(columns, ColumnarTrace)
     assert columns.to_trace() == objects
-
-
-@pytest.mark.parametrize("name", ["hevc1", "mcf"])
-def test_generate_blocks_concat_identity(name):
-    columns = make_generator(name, seed=3).generate_columnar(REQUESTS)
-    blocks = list(make_generator(name, seed=3).generate_blocks(REQUESTS, block_requests=256))
-    assert all(len(block) <= 256 for block in blocks)
-    assert ColumnarTrace.concat(blocks) == columns
 
 
 def test_generate_columnar_without_numpy(monkeypatch):
