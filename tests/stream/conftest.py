@@ -1,4 +1,8 @@
-"""Shared helpers for the streaming tests."""
+"""Shared helpers for the streaming tests.
+
+``synthetic_trace`` also feeds the columnar-profile tests in
+``tests/core/test_columnar_profile.py``.
+"""
 
 from __future__ import annotations
 
