@@ -16,6 +16,7 @@ touches a fresh block inside it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import List, Sequence
 
 from ..core.request import MemoryRequest, Operation
@@ -109,8 +110,19 @@ class HRDModel:
     def fit(cls, trace: Trace) -> "HRDModel":
         if not len(trace):
             raise ValueError("cannot fit HRD to an empty trace")
-        fine_blocks = [r.address // FINE_GRANULARITY for r in trace]
-        coarse_blocks = [r.address // COARSE_GRANULARITY for r in trace]
+        fine_blocks: List[int] = []
+        coarse_blocks: List[int] = []
+        operations: List[Operation] = []
+        sizes: List[int] = []
+        base_address = None
+        for request in trace:
+            address = request.address
+            fine_blocks.append(address // FINE_GRANULARITY)
+            coarse_blocks.append(address // COARSE_GRANULARITY)
+            operations.append(request.operation)
+            sizes.append(request.size)
+            if base_address is None or address < base_address:
+                base_address = address
         fine_distances = stack_distances(fine_blocks)
         coarse_distances = stack_distances(coarse_blocks)
         # The 4KB histogram is consulted only on 64B cold misses, so it is
@@ -118,43 +130,56 @@ class HRDModel:
         coarse_at_cold = [
             coarse for fine, coarse in zip(fine_distances, coarse_distances) if fine == COLD
         ]
-        operations = [r.operation for r in trace]
-        sizes = [r.size for r in trace]
-        modal_size = max(set(sizes), key=sizes.count)
+        size_counts = Counter(sizes)
         return cls(
             fine_histogram=ReuseHistogram.fit(fine_distances),
             coarse_histogram=ReuseHistogram.fit(coarse_at_cold),
             operation_model=CleanDirtyModel.fit(fine_blocks, operations),
             count=len(trace),
-            request_size=modal_size,
-            base_address=min(r.address for r in trace),
+            # Ties go to the first size in set order, as max() over the set.
+            request_size=max(set(sizes), key=size_counts.__getitem__),
+            base_address=base_address,
         )
 
     def synthesize(self, seed: int = 0) -> Trace:
         """Generate a synthetic trace (order-only timestamps, as in Sec. V)."""
         rng = random.Random(seed)
+        random_ = rng.random
         blocks_per_page = COARSE_GRANULARITY // FINE_GRANULARITY
         base_page = self.base_address // COARSE_GRANULARITY
+        sample_fine = self.fine_histogram.sample
+        sample_coarse = self.coarse_histogram.sample
+        write_probability = {
+            state: self.operation_model.write_probability(state)
+            for state in CleanDirtyModel.STATES
+        }
+        request_size = self.request_size
+        read, write = Operation.READ, Operation.WRITE
 
         fine_lru = LRUStack()  # 64B block numbers
         page_lru = LRUStack()  # 4KB page numbers
+        fine_at, fine_access = fine_lru.at_depth, fine_lru.access
+        page_at, page_access = page_lru.at_depth, page_lru.access
+        fine_count = fine_lru.__len__
+        page_count = page_lru.__len__
         page_next_block: dict = {}  # page -> next fresh 64B slot index
         next_new_page = base_page
         dirty: dict = {}
         requests: List[MemoryRequest] = []
+        append = requests.append
 
         for index in range(self.count):
-            distance = self.fine_histogram.sample(rng)
-            if distance != COLD and fine_lru:
+            distance = sample_fine(rng)
+            if distance != COLD and fine_count():
                 # A finite distance deeper than the current stack clamps to
                 # the deepest entry — it is still a reuse, not a cold miss
                 # (otherwise synthesis would inflate the footprint).
-                block = fine_lru.at_depth(min(distance, len(fine_lru) - 1))
+                block = fine_at(min(distance, fine_count() - 1))
                 state = "dirty" if dirty.get(block, False) else "clean"
             else:
-                page_distance = self.coarse_histogram.sample(rng)
-                if page_distance != COLD and page_lru:
-                    page = page_lru.at_depth(min(page_distance, len(page_lru) - 1))
+                page_distance = sample_coarse(rng)
+                if page_distance != COLD and page_count():
+                    page = page_at(min(page_distance, page_count() - 1))
                     if page_next_block.get(page, 0) >= blocks_per_page:
                         # Every 64B block of this page has been touched; a
                         # cold fine-grained miss cannot land here, so the
@@ -172,15 +197,17 @@ class HRDModel:
                     state = "dirty" if dirty[block] else "clean"
                 else:
                     state = "new"
-            operation = self.operation_model.sample(state, rng)
-            dirty[block] = dirty.get(block, False) or operation is Operation.WRITE
+            if random_() < write_probability[state]:
+                operation = write
+                dirty[block] = True
+            else:
+                operation = read
+                dirty[block] = dirty.get(block, False)
 
-            fine_lru.access(block)
-            page_lru.access(block // blocks_per_page)
+            fine_access(block)
+            page_access(block // blocks_per_page)
 
-            requests.append(
-                MemoryRequest(index, block * FINE_GRANULARITY, operation, self.request_size)
-            )
+            append(MemoryRequest(index, block * FINE_GRANULARITY, operation, request_size))
         return Trace(requests)
 
     def to_dict(self) -> dict:

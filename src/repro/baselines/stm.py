@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.leaf import AddressModel, LeafModel, OperationModel, wrap_address
 from ..core.mcc import McCModel
@@ -49,49 +49,73 @@ class StrideTable:
         self.rows = rows
         self.global_counts = global_counts
         self.max_history = max_history
-        # Unconsumed counts of the rows generation has touched.
-        self._remaining: Dict[Tuple[int, ...], Counter] = {}
+        # Unconsumed counts of the rows generation has touched, each as
+        # [sorted strides, their remaining counts, the counts' total].
+        self._remaining: Dict[Tuple[int, ...], list] = {}
+        # ``global_counts`` as a distribution, made on the first global draw.
+        self._global: Optional[ReuseHistogram] = None
 
     @classmethod
     def fit(cls, strides: Sequence[int], max_history: int = MAX_STRIDE_HISTORY) -> "StrideTable":
         rows: Dict[Tuple[int, ...], Counter] = {}
         global_counts: Counter = Counter(strides)
+        # Most rows are new; Counter.__init__ (via its Mapping instance
+        # check) would dominate if called for each, and a bare Counter
+        # from __new__ is an equally valid empty one.
+        new_counter = Counter.__new__
+        strides = tuple(strides)
         for index in range(1, len(strides)):
-            for history_length in range(1, max_history + 1):
-                if history_length > index:
-                    break
-                history = tuple(strides[index - history_length : index])
-                rows.setdefault(history, Counter())[strides[index]] += 1
+            window = strides[max(0, index - max_history) : index]
+            stride = strides[index]
+            # Suffixes shortest-first: the row insertion order of one
+            # history length after another.
+            for start in range(len(window) - 1, -1, -1):
+                history = window[start:]
+                row = rows.get(history)
+                if row is None:
+                    rows[history] = row = new_counter(Counter)
+                row[stride] = row.get(stride, 0) + 1
         return cls(rows, global_counts, max_history)
-
-    @staticmethod
-    def _sample(counter: Counter, rng: random.Random) -> int:
-        # Sorted keys keep sampling invariant to insertion order, so a
-        # deserialized table generates the same stream for the same seed.
-        values = sorted(counter.keys())
-        weights = [counter[v] for v in values]
-        return rng.choices(values, weights=weights, k=1)[0]
 
     def next_stride(self, history: Sequence[int], rng: random.Random) -> int:
         """Sample the next stride given recent history, consuming counts.
 
         Counts are consumed from this table's own copy of each row,
-        taken on first touch, so ``rows`` keeps the fitted counts.
+        taken on first touch, so ``rows`` keeps the fitted counts. Each
+        draw is exactly ``rng.choices(sorted strides, weights=counts)``
+        over the row's remaining counts: one ``random()`` call, resolved
+        to the same insertion point in the cumulative counts. Sorted
+        strides keep sampling invariant to insertion order, so a
+        deserialized table generates the same stream for the same seed.
         """
         history = tuple(history[-self.max_history :])
+        remaining = self._remaining
         for start in range(len(history)):
             key = history[start:]
-            row = self._remaining.get(key)
-            if row is None and key in self.rows:
-                row = self._remaining[key] = Counter(self.rows[key])
-            if row and sum(row.values()) > 0:
-                stride = self._sample(row, rng)
-                row[stride] -= 1
-                if row[stride] <= 0:
-                    del row[stride]
-                return stride
+            row = remaining.get(key)
+            if row is None:
+                counts = self.rows.get(key)
+                if counts is None:
+                    continue
+                strides = sorted(counts)
+                row = remaining[key] = [strides, [counts[s] for s in strides], sum(counts.values())]
+            strides, weights, total = row
+            if total > 0:
+                # First index whose cumulative count exceeds the
+                # threshold; an exhausted (zero) count never does.
+                threshold = rng.random() * total
+                cumulative = 0
+                for index, weight in enumerate(weights):
+                    cumulative += weight
+                    if threshold < cumulative:
+                        break
+                weights[index] -= 1
+                row[2] = total - 1
+                return strides[index]
         if self.global_counts:
-            return self._sample(self.global_counts, rng)
+            if self._global is None:
+                self._global = ReuseHistogram(self.global_counts)
+            return self._global.sample(rng)
         return 0
 
     def to_dict(self) -> dict:
@@ -167,18 +191,21 @@ class STMAddressModel(AddressModel):
             self.stride_table.global_counts,
             self.stride_table.max_history,
         )
-        addresses = [self.start_address]
-        lru: List[int] = [self.start_address]
+        sample_distance = self.distance_histogram.sample
+        next_stride = table.next_stride
+        region = self.region
+        address = self.start_address
+        addresses = [address]
+        lru: List[int] = [address]  # unique addresses, most recent first
         history: List[int] = []
-        while len(addresses) < self.count:
-            distance = self.distance_histogram.sample(rng)
+        for _ in range(self.count - 1):
+            distance = sample_distance(rng)
             if distance != COLD and distance < len(lru) and len(lru) > 1:
-                address = lru[distance]
-                lru.remove(address)
+                address = lru.pop(distance)
             else:
-                stride = table.next_stride(history, rng)
+                stride = next_stride(history, rng)
                 history.append(stride)
-                address = wrap_address(addresses[-1] + stride, self.region)
+                address = wrap_address(address + stride, region)
                 if address in lru:
                     lru.remove(address)
             addresses.append(address)

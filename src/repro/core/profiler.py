@@ -10,16 +10,17 @@ Two data paths build the same profile:
   :func:`~repro.core.hierarchy.build_leaves` and fits each leaf with the
   ``leaf_factory`` — the reference implementation;
 * the **columnar** path (numpy) partitions whole int64 columns into leaf
-  index segments and fits every leaf's four McC models in batched column
-  passes — no per-request objects, no per-transition Counter churn.
+  index segments. With the default all-McC leaf factory it fits every
+  leaf's four McC models in batched column passes — no per-request
+  objects, no per-transition Counter churn. Any other factory (the STM
+  baselines) is handed each segment's requests.
 
 The columnar path is bit-identical to the scalar one, down to Markov
 transition-dict insertion order (which serialization depends on).
-:func:`build_profile` picks the path from its inputs: columnar when the
-leaf factory is the default all-McC one, numpy is importable and every
-value fits in int64; scalar otherwise. Each scalar build under an
-active :mod:`repro.obs` registry bumps ``profile.fallback.<reason>``
-(``leaf_factory``, ``no_numpy`` or ``int64_range``).
+:func:`build_profile` picks the path from its inputs: columnar when
+numpy is importable and every value fits in int64; scalar otherwise.
+Each scalar build under an active :mod:`repro.obs` registry bumps
+``profile.fallback.<reason>`` (``no_numpy`` or ``int64_range``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .hierarchy import (
 from .leaf import LeafModel, McCAddressModel, McCOperationModel
 from .markov import MarkovChain
 from .mcc import CONSTANT, MARKOV, McCModel
-from .request import AddressRange, MemoryRequest
+from .request import AddressRange, MemoryRequest, Operation
 from .spatial import partition_dynamic_columnar, partition_fixed_columnar
 from .trace import Trace
 
@@ -76,15 +77,11 @@ def build_profile(
         config = two_level_ts()
 
     np = numpy_or_none()
-    # Bound-method equality, not identity: each LeafModel.fit attribute
-    # access creates a fresh bound method object.
-    if leaf_factory != LeafModel.fit:
-        _count_fallback("leaf_factory")
-    elif np is None:
+    if np is None:
         _count_fallback("no_numpy")
     else:
         columns = trace if isinstance(trace, ColumnarTrace) else ColumnarTrace.from_trace(trace)
-        models = _build_models_columnar(np, columns, config)
+        models = _build_models_columnar(np, columns, config, leaf_factory)
         if models is not None:
             return Profile(models, hierarchy=config.describe(), name=name)
         _count_fallback("int64_range")
@@ -106,7 +103,7 @@ def _count_fallback(reason: str) -> None:
 # -- columnar path -------------------------------------------------------------
 
 
-def _build_models_columnar(np, columns, config: HierarchyConfig):
+def _build_models_columnar(np, columns, config: HierarchyConfig, leaf_factory):
     """All leaf models for ``columns``, or ``None`` to fall back to scalar.
 
     Falls back when any value would not survive int64 arithmetic (the
@@ -130,7 +127,14 @@ def _build_models_columnar(np, columns, config: HierarchyConfig):
 
     everything = np.arange(len(columns), dtype=np.int64)
     segments = _leaf_segments(np, timestamps, addresses, sizes, config.layers, everything, None)
-    return _fit_leaves_batched(np, timestamps, addresses, sizes, ops, segments)
+    # Bound-method equality, not identity: each LeafModel.fit attribute
+    # access creates a fresh bound method object.
+    if leaf_factory == LeafModel.fit:
+        return _fit_leaves_batched(np, timestamps, addresses, sizes, ops, segments)
+    return [
+        leaf_factory(requests, region)
+        for requests, region in _leaf_requests(np, timestamps, addresses, sizes, ops, segments)
+    ]
 
 
 def _leaf_segments(np, timestamps, addresses, sizes, layers, indices, region):
@@ -178,6 +182,34 @@ def _spatial_split(np, timestamps, addresses, sizes, indices, layer: SpatialLaye
     return partition_dynamic_columnar(
         np, addresses[indices], sizes[indices], timestamps[indices]
     )
+
+
+def _leaf_requests(np, timestamps, addresses, sizes, ops, segments):
+    """Each leaf segment's requests, as the scalar path hands them over.
+
+    One gather and one ``tolist`` per column for all leaves; each leaf
+    then gets a slice of the resulting :class:`MemoryRequest` list.
+    """
+    if not segments:
+        return []
+    gather = np.concatenate([indices for indices, _ in segments])
+    operation = {int(op): op for op in Operation}
+    requests = [
+        MemoryRequest(t, a, operation[o], s)
+        for t, a, o, s in zip(
+            timestamps[gather].tolist(),
+            addresses[gather].tolist(),
+            ops[gather].tolist(),
+            sizes[gather].tolist(),
+        )
+    ]
+    leaves = []
+    start = 0
+    for indices, region in segments:
+        stop = start + len(indices)
+        leaves.append((requests[start:stop], region))
+        start = stop
+    return leaves
 
 
 def _fit_leaves_batched(np, timestamps, addresses, sizes, ops, segments) -> List[LeafModel]:

@@ -201,7 +201,7 @@ class Trace:
     def load_binary(cls, path: Union[str, Path]) -> "Trace":
         payload = _read_payload(path)
         if payload[:4] != _BINARY_MAGIC:
-            raise ValueError(f"{path}: not a Mocktails binary trace")
+            raise CorruptArtifactError(path, "not a Mocktails binary trace")
         try:
             (count,) = struct.unpack_from("<Q", payload, 4)
             requests = []

@@ -106,7 +106,7 @@ def _read_exact(path, raw, stream, need: int, offset: int, what: str) -> bytes:
 def _iter_binary(path, raw, stream, block_requests: int) -> Iterator[ColumnarTrace]:
     header = _read_exact(path, raw, stream, 12, 0, "binary trace header")
     if header[:4] != _BINARY_MAGIC:
-        raise ValueError(f"{path}: not a Mocktails binary trace")
+        raise CorruptArtifactError(path, "not a Mocktails binary trace")
     (count,) = struct.unpack_from("<Q", header, 4)
     np = numpy_or_none()
     offset = 12

@@ -21,7 +21,7 @@ from ..core.leaf import LeafModel
 from ..core.profiler import build_profile
 from ..core.serialization import load_profile, save_profile
 from ..core.synthesis import synthesize
-from . import positive_int
+from . import positive_int, run_command
 from .trace import load_any, save_any
 
 
@@ -93,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    return run_command(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

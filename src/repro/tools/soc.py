@@ -23,7 +23,7 @@ from ..dram.config import MemoryConfig
 from ..eval.reporting import format_table
 from ..sim.multi_device import run_soc
 from ..workloads.registry import available_workloads, workload_trace
-from . import positive_int
+from . import positive_int, run_command
 
 
 def _parse_device(spec: str):
@@ -115,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    return run_command(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

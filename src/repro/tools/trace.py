@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ..core.trace import Trace
 from ..workloads.registry import available_workloads, workload_trace
-from . import positive_int
+from . import positive_int, run_command
 
 
 _CSV_SUFFIXES = (".csv", ".csv.gz")
@@ -170,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    return run_command(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

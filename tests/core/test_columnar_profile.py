@@ -13,7 +13,11 @@ import json
 import pytest
 
 from repro import obs
-from repro.baselines.stm import stm_leaf_factory
+from repro.baselines.stm import (
+    stm_address_leaf_factory,
+    stm_leaf_factory,
+    stm_operation_leaf_factory,
+)
 from repro.core.columnar import ColumnarTrace, numpy_or_none
 from repro.core.hierarchy import (
     HierarchyConfig,
@@ -119,6 +123,41 @@ def test_columnar_accepts_columnar_input(hevc_trace, monkeypatch):
     assert canonical(columnar) == canonical(scalar)
 
 
+STM_FACTORIES = {
+    "stm": stm_leaf_factory,
+    "stm_address": stm_address_leaf_factory,
+    "stm_operation": stm_operation_leaf_factory,
+}
+
+
+@pytest.mark.parametrize("config_name", ["2l_ts", "micro_macro", "spatial-outer"])
+@pytest.mark.parametrize("factory", sorted(STM_FACTORIES))
+def test_stm_leaves_from_columns_bit_identical(factory, config_name, monkeypatch):
+    """STM leaves fitted from column segments equal the scalar path's."""
+    make_trace, make_config = CONFIGS[config_name]
+    trace, config = make_trace(), make_config()
+    leaf_factory = STM_FACTORIES[factory]
+    scalar = scalar_profile(monkeypatch, trace, config, leaf_factory=leaf_factory)
+    columnar = build_profile(trace, config, leaf_factory=leaf_factory)
+    assert canonical(columnar) == canonical(scalar)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs the columnar path")
+@pytest.mark.parametrize("columns", [False, True], ids=["trace", "columns"])
+def test_stm_build_skips_per_request_path(hevc_trace, monkeypatch, columns):
+    """With numpy, an STM build neither walks build_leaves nor materializes a Trace."""
+    from repro.core import profiler
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the STM build left the columnar path")
+
+    reference = canonical(build_profile(hevc_trace, leaf_factory=stm_leaf_factory))
+    monkeypatch.setattr(profiler, "build_leaves", forbidden)
+    monkeypatch.setattr(ColumnarTrace, "to_trace", forbidden)
+    trace = ColumnarTrace.from_trace(hevc_trace) if columns else hevc_trace
+    assert canonical(build_profile(trace, leaf_factory=stm_leaf_factory)) == reference
+
+
 def test_scalar_accepts_columnar_input(hevc_trace, monkeypatch):
     """The scalar path transparently converts columnar input back."""
     config = two_level_ts(cycles_per_interval=50_000)
@@ -189,8 +228,9 @@ def test_fallback_counter_no_numpy(monkeypatch, hevc_trace):
 
 
 def test_fallback_counter_leaf_factory(hevc_trace):
+    """A non-default leaf factory no longer forces the scalar path."""
     counters = _fallback_counters(hevc_trace, leaf_factory=stm_leaf_factory)
-    assert counters == {"profile.fallback.leaf_factory": 1}
+    assert counters == ({} if HAVE_NUMPY else {"profile.fallback.no_numpy": 1})
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the int64 check runs on the numpy path")

@@ -96,12 +96,14 @@ def test_binary_trace_with_invalid_operation(tmp_path, mixed_trace):
         Trace.load_binary(path)
 
 
-def test_wrong_magic_stays_plain_valueerror(tmp_path):
-    # A wrong format is *not* corruption — the old error is preserved.
+def test_wrong_magic_raises_corrupt_artifact_error(tmp_path):
+    # Like every other loader error; still a ValueError for old callers.
     path = tmp_path / "trace.mtr"
     path.write_bytes(b"PNG\x00 definitely not a trace")
-    with pytest.raises(ValueError, match="not a Mocktails binary trace"):
+    with pytest.raises(ValueError, match="not a Mocktails binary trace") as raised:
         Trace.load_binary(path)
+    assert isinstance(raised.value, CorruptArtifactError)
+    assert raised.value.path == str(path)
 
 
 # ---------------------------------------------------------------------------

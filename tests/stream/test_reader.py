@@ -61,8 +61,9 @@ def test_unknown_suffix_rejected(tmp_path):
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "t.mtr"
     path.write_bytes(b"NOPE" + b"\x00" * 8)
-    with pytest.raises(ValueError, match="not a Mocktails binary trace"):
+    with pytest.raises(ValueError, match="not a Mocktails binary trace") as raised:
         list(iter_blocks(path))
+    assert isinstance(raised.value, CorruptArtifactError)
 
 
 def test_truncated_header_names_offset(tmp_path):
