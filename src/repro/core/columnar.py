@@ -33,7 +33,7 @@ importable (and not disabled with ``MOCKTAILS_NO_NUMPY``), the leaf
 factory is the default all-McC one and every value fits in int64.
 Otherwise it takes the scalar path. Both paths build bit-identical
 profiles. :func:`resolve_backend` names the path numpy availability
-selects, and :mod:`repro.store.memo` folds that name into its cache
+selects, and :mod:`repro.store` folds that name into its cache
 keys.
 """
 

@@ -1,16 +1,15 @@
-"""Incremental artifact payload reading.
+"""Incremental artifact reads.
 
-Trace and profile loaders used to slurp whole files with one
-``read()`` and hand the result to ``gzip.decompress`` — which holds the
-complete compressed *and* decompressed payloads in memory at once, and
-on a truncated file can only say "something is wrong somewhere". This
-module reads artifacts in bounded chunks, decompressing gzip streams
-incrementally, and reports the **byte offset** of the first corrupt or
-missing compressed byte when a stream is truncated.
+:func:`read_artifact_bytes` reads a trace or profile file in bounded
+chunks, decompressing gzip streams incrementally, so the compressed
+payload is never resident whole. A truncated or corrupt stream raises
+:class:`~repro.core.errors.CorruptArtifactError` naming the file and the
+byte offset of the first bad compressed byte.
 
-Used by :mod:`repro.core.trace` and :mod:`repro.core.serialization`;
-the chunked *block* reader for out-of-core trace streaming lives in
-:mod:`repro.stream.reader` and shares the same conventions.
+Used by :mod:`repro.core.trace` and :mod:`repro.core.serialization`.
+The write side is :mod:`repro.core.atomic`; the chunked *block* reader
+for out-of-core trace streaming is :mod:`repro.stream.reader`, which
+shares the same conventions.
 """
 
 from __future__ import annotations

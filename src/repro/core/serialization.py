@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, Union
 
-from ..store.atomic import atomic_write_bytes
+from .atomic import atomic_write_bytes
 from .errors import CorruptArtifactError
 from .ioutil import read_artifact_bytes
 from .leaf import (
@@ -117,18 +117,10 @@ def load_profile(path: Union[str, Path]) -> Profile:
     """Read a profile file.
 
     Raises :class:`CorruptArtifactError` (a ``ValueError``) naming the
-    path on truncated gzip streams or malformed payloads.
+    path on truncated gzip streams or malformed payloads; a file that
+    cannot be opened raises the ``OSError`` that says why.
     """
-    try:
-        payload = read_artifact_bytes(
-            path, require_gzip=True, what="gzip profile file"
-        )
-    except CorruptArtifactError:
-        raise
-    except OSError as error:
-        raise CorruptArtifactError(
-            path, f"not a gzip profile file, or truncated ({error})"
-        ) from error
+    payload = read_artifact_bytes(path, require_gzip=True, what="gzip profile file")
     try:
         data = json.loads(payload.decode("ascii", errors="strict"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:

@@ -22,7 +22,7 @@ import struct
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
-from ..store.atomic import atomic_write_bytes
+from .atomic import atomic_write_bytes
 from .errors import CorruptArtifactError
 from .ioutil import read_artifact_bytes
 from .request import AddressRange, MemoryRequest, Operation

@@ -11,9 +11,10 @@ Examples::
 
 Cross-run memoization is **on by default** (under ``~/.cache/repro``;
 see :mod:`repro.store`): deterministic simulation payloads computed by
-one invocation are reused by every later one, so a warm ``run fig6`` is
-bit-identical to a cold one but orders of magnitude faster. Opt out
-with ``--no-cache``; manage the cache with the ``cache`` subcommand.
+one invocation are reused by every later one of the same code, so a
+warm ``run fig6`` is bit-identical to a cold one but orders of
+magnitude faster. Opt out with ``--no-cache``; manage the cache with
+the ``cache`` subcommand.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 import time
 
 from .. import obs, store
-from ..tools import positive_int
+from ..tools import positive_int, run_command
 from . import experiments
 from .reporting import format_table
 
@@ -234,40 +235,17 @@ def _format_bytes(count: int) -> str:
 
 
 def run_cache_command(args) -> int:
-    """The ``cache`` subcommand: stats / verify / gc / clear."""
+    """The ``cache`` subcommand: stats / clear."""
     memo = store.ExperimentMemo(args.cache_dir or store.default_cache_dir())
     if args.cache_command == "stats":
         stats = memo.stats()
         print(f"cache dir:  {stats['root']}")
         print(f"entries:    {stats['entries']}")
-        print(f"blobs:      {stats['blobs']}")
         print(f"size:       {_format_bytes(stats['bytes'])}")
         return 0
-    if args.cache_command == "verify":
-        report = memo.verify(evict_corrupt=not args.keep_corrupt)
-        print(f"checked {report['checked']} blobs")
-        for digest in report["corrupt"]:
-            action = "kept" if args.keep_corrupt else "evicted (will recompute)"
-            print(f"corrupt blob {digest[:16]}...: {action}")
-        for key in report["dangling"]:
-            action = "kept" if args.keep_corrupt else "dropped"
-            print(f"dangling key {key[:16]}...: {action}")
-        if not report["corrupt"] and not report["dangling"]:
-            print("cache is clean")
-        return 1 if args.keep_corrupt and (report["corrupt"] or report["dangling"]) else 0
-    if args.cache_command == "gc":
-        evicted = memo.gc(args.max_bytes)
-        stats = memo.stats()
-        print(
-            f"evicted {len(evicted)} blobs; "
-            f"{stats['blobs']} remain ({_format_bytes(stats['bytes'])})"
-        )
-        return 0
-    if args.cache_command == "clear":
-        removed = memo.clear()
-        print(f"removed {removed} blobs from {memo.root}")
-        return 0
-    raise AssertionError(f"unknown cache command: {args.cache_command}")  # pragma: no cover
+    removed = memo.clear()
+    print(f"removed {removed} entries from {memo.root}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -326,19 +304,9 @@ def main(argv=None) -> int:
         "--cache-dir", metavar="DIR", default=None,
         help="cache directory (default ~/.cache/repro or $REPRO_CACHE_DIR)")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    stats = cache_sub.add_parser("stats", help="entry/blob counts and total size")
-    verify = cache_sub.add_parser(
-        "verify", help="re-hash every blob, evicting corrupt entries"
-    )
-    verify.add_argument(
-        "--keep-corrupt", action="store_true",
-        help="report corruption without evicting (exit 1 if any found)")
-    gc = cache_sub.add_parser("gc", help="LRU-evict blobs past a size budget")
-    gc.add_argument(
-        "--max-bytes", type=int, default=2 * 1024**3,
-        help="byte budget to shrink the store to (default 2 GiB)")
+    stats = cache_sub.add_parser("stats", help="entry count and total size")
     clear = cache_sub.add_parser("clear", help="remove every cached entry")
-    for cache_command in (stats, verify, gc, clear):
+    for cache_command in (stats, clear):
         # SUPPRESS: a trailing `cache stats --cache-dir X` wins, but when
         # omitted it does not clobber a prefix `cache --cache-dir X stats`.
         cache_command.add_argument(
@@ -346,6 +314,10 @@ def main(argv=None) -> int:
             help="cache directory (default ~/.cache/repro or $REPRO_CACHE_DIR)")
 
     args = parser.parse_args(argv)
+    return run_command(parser.prog, _dispatch, args, argv)
+
+
+def _dispatch(args, argv) -> int:
     if args.command == "list":
         for name in sorted(EXPERIMENTS):
             print(name)
@@ -379,7 +351,7 @@ def main(argv=None) -> int:
                 + f" ({memo.root})"
             )
         if args.json_out:
-            from ..store.atomic import atomic_write_text
+            from ..core.atomic import atomic_write_text
 
             payload = json.dumps(_json_sanitize(results), indent=2, sort_keys=True)
             atomic_write_text(args.json_out, payload + "\n")

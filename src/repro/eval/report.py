@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from . import experiments
-from ..store.atomic import atomic_write_text
+from ..core.atomic import atomic_write_text
 from .metrics import percent_error
 
 

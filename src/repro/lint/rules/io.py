@@ -3,7 +3,7 @@ read bounded.
 
 The result store's warm==cold guarantee assumes no reader can ever
 observe a truncated artifact, which holds only if every write in the
-repo funnels through :mod:`repro.store.atomic` (temp file + fsync +
+repo funnels through :mod:`repro.core.atomic` (temp file + fsync +
 same-directory ``os.replace``). A bare ``open(path, "w")`` reintroduces
 the torn-write window that helper exists to close.
 
@@ -116,7 +116,7 @@ class UnboundedReadRule(Rule):
 
 @register
 class AtomicWriteRule(Rule):
-    """File writes must go through ``repro.store.atomic``.
+    """File writes must go through ``repro.core.atomic``.
 
     Flags ``open(..., "w")``, ``Path.open("w")`` (any mode containing
     ``w``/``a``/``x``) and ``Path.write_text``/``write_bytes``. The
@@ -126,10 +126,10 @@ class AtomicWriteRule(Rule):
     """
 
     rule_id = "io-atomic-write"
-    description = "non-atomic file write; use repro.store.atomic"
+    description = "non-atomic file write; use repro.core.atomic"
 
     def check(self, context: LintContext) -> None:
-        if context.is_module("store", "atomic.py"):
+        if context.is_module("core", "atomic.py"):
             return
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Call):
@@ -142,7 +142,7 @@ class AtomicWriteRule(Rule):
                         node,
                         self.rule_id,
                         f"open(..., {mode!r}) is not crash-safe; use "
-                        "repro.store.atomic.atomic_write_text/bytes",
+                        "repro.core.atomic.atomic_write_text/bytes",
                     )
             elif isinstance(func, ast.Attribute) and func.attr == "open":
                 # Path.open("w") puts the mode first; gzip.open(path, "wt")
@@ -153,7 +153,7 @@ class AtomicWriteRule(Rule):
                         node,
                         self.rule_id,
                         f".open(..., {mode!r}) is not crash-safe; use "
-                        "repro.store.atomic.atomic_write_text/bytes",
+                        "repro.core.atomic.atomic_write_text/bytes",
                     )
             elif isinstance(func, ast.Attribute) and func.attr in (
                 "write_text",
@@ -163,5 +163,5 @@ class AtomicWriteRule(Rule):
                     node,
                     self.rule_id,
                     f".{func.attr}(...) is not crash-safe; use "
-                    "repro.store.atomic.atomic_write_text/bytes",
+                    "repro.core.atomic.atomic_write_text/bytes",
                 )

@@ -30,7 +30,6 @@ Usage::
 from .clock import wall_time
 from .events import EventSink, JsonlEventSink, MemoryEventSink
 from .manifest import build_manifest, host_info, write_manifest
-from .memory import PeakMemoryTracker, measure_peak_memory
 from .registry import (
     Counter,
     Gauge,
@@ -50,13 +49,11 @@ __all__ = [
     "JsonlEventSink",
     "MemoryEventSink",
     "MetricsRegistry",
-    "PeakMemoryTracker",
     "active",
     "build_manifest",
     "disable",
     "enable",
     "host_info",
-    "measure_peak_memory",
     "phase",
     "wall_time",
     "write_manifest",

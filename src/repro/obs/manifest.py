@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
-from ..store.atomic import atomic_write_text
+from ..core.atomic import atomic_write_text
 from .registry import MetricsRegistry
 
 MANIFEST_SCHEMA = 1

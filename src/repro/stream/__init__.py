@@ -3,7 +3,7 @@
 * :func:`iter_blocks` — iterate a ``.mtr``/``.csv`` file (plain or gz)
   as fixed-size :class:`~repro.core.columnar.ColumnarTrace` blocks;
 * :class:`TraceBlockWriter` — write blocks to any trace format through
-  ``store.atomic`` (crash-safe, byte-identical to the one-shot savers).
+  ``core.atomic`` (crash-safe, byte-identical to the one-shot savers).
 
 Block-wise replay lives next to the engines it drives:
 :func:`repro.sim.cache_driver.run_cache_blocks`,

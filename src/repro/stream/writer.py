@@ -1,11 +1,11 @@
-"""Chunked trace writing: column blocks to disk through ``store.atomic``.
+"""Chunked trace writing: column blocks to disk through ``core.atomic``.
 
 :class:`TraceBlockWriter` accepts :class:`ColumnarTrace` blocks and
 produces files byte-identical to ``Trace.save_binary``/``save_csv`` —
 same formats, same deterministic gzip container (``mtime=0``; the
 incremental compressor is the exact codec ``gzip.compress(mtime=0)``
 uses) — without ever holding the whole trace or payload in memory. All
-bytes go through :class:`~repro.store.atomic.AtomicFileWriter`, so a
+bytes go through :class:`~repro.core.atomic.AtomicFileWriter`, so a
 crash mid-write never leaves a truncated trace at the destination.
 
 The binary header stores the request count up front. When
@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 from ..core.columnar import ColumnarTrace, numpy_or_none
 from ..core.trace import _BINARY_MAGIC, _RECORD
-from ..store.atomic import AtomicFileWriter
+from ..core.atomic import AtomicFileWriter
 from .reader import BINARY_SUFFIXES, CSV_SUFFIXES, _record_dtype
 
 __all__ = ["TraceBlockWriter"]

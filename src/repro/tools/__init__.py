@@ -8,13 +8,16 @@
 * ``python -m repro.tools.soc`` — multi-device SoC runs from profiles.
 
 :func:`positive_int` is the argparse type of their count flags, shared
-with ``python -m repro.eval``; :func:`run_command` runs their parsed
-subcommands.
+with ``python -m repro.eval``; :func:`run_command` is the error
+boundary every one of these CLIs runs its command under.
 """
 
 import argparse
 import os
 import sys
+from typing import Callable
+
+from ..core.errors import CorruptArtifactError
 
 
 def positive_int(text: str) -> int:
@@ -28,20 +31,29 @@ def positive_int(text: str) -> int:
     return value
 
 
-def run_command(args: argparse.Namespace) -> int:
-    """Run a parsed subcommand (``args.func``) and return its exit status.
+def run_command(prog: str, command: Callable[..., int], *args) -> int:
+    """Run ``command(*args)`` and return its exit status.
 
-    A reader that closes the pipe early (``... | head -2``) ends the
-    command quietly with status 1 instead of a ``BrokenPipeError``
-    traceback. As in the Python docs' SIGPIPE recipe, stdout is then
-    pointed at devnull so that the interpreter's final flush cannot
-    raise again.
+    An unreadable, unwritable, missing or corrupt file ends the command
+    with ``prog: error: <path>: <reason>`` on stderr and status 1,
+    instead of a traceback. A reader that closes the pipe early
+    (``... | head -2``) ends it quietly with status 1 instead of a
+    ``BrokenPipeError`` traceback. As in the Python docs' SIGPIPE
+    recipe, stdout is then pointed at devnull so that the interpreter's
+    final flush cannot raise again.
     """
     try:
-        status = args.func(args)
+        status = command(*args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except (OSError, CorruptArtifactError) as error:
+        if isinstance(error, OSError) and error.filename is not None:
+            message = f"{error.filename}: {error.strerror}"
+        else:
+            message = str(error)
+        print(f"{prog}: error: {message}", file=sys.stderr)
         return 1

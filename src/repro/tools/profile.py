@@ -93,7 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    return run_command(build_parser().parse_args(argv))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    return run_command(parser.prog, args.func, args)
 
 
 if __name__ == "__main__":

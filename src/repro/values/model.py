@@ -158,7 +158,7 @@ class ValueProfile:
         import gzip
         import json
 
-        from ..store.atomic import atomic_write_bytes
+        from ..core.atomic import atomic_write_bytes
 
         payload = gzip.compress(
             json.dumps(self.to_dict(), separators=(",", ":")).encode("ascii"),

@@ -152,60 +152,40 @@ class TestResultCache:
         assert main(["cache", "--cache-dir", str(tmp_path / "c"), "stats"]) == 0
         out = capsys.readouterr().out
         assert "entries:    0" in out
-        assert "blobs:      0" in out
+        assert "size:       0 B" in out
 
-    def test_cache_verify_detects_and_evicts_corruption(self, tmp_path, capsys):
+    def test_corrupt_entry_is_recomputed(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         _clear_all_caches()
         assert main([
             "run", "fig10", "--requests", "1200", "--cache-dir", str(cache_dir),
+            "--json-out", str(tmp_path / "cold.json"),
         ]) == 0
         capsys.readouterr()
 
-        blobs = [p for p in (cache_dir / "objects").rglob("*") if p.is_file()]
-        blobs[0].write_bytes(b"deliberately corrupted")
-
-        # --keep-corrupt reports without evicting and exits non-zero.
-        assert main([
-            "cache", "--cache-dir", str(cache_dir), "verify", "--keep-corrupt",
-        ]) == 1
-        assert "corrupt blob" in capsys.readouterr().out
-        assert blobs[0].exists()
-
-        # Default verify evicts so the next run recomputes.
-        assert main(["cache", "--cache-dir", str(cache_dir), "verify"]) == 0
-        out = capsys.readouterr().out
-        assert "evicted (will recompute)" in out
-        assert not blobs[0].exists()
+        entries = sorted(p for p in cache_dir.rglob("*") if p.is_file())
+        assert len(entries) == 2
+        entries[0].write_bytes(b"deliberately corrupted")
 
         _clear_all_caches()
         assert main([
             "run", "fig10", "--requests", "1200", "--cache-dir", str(cache_dir),
+            "--json-out", str(tmp_path / "warm.json"),
         ]) == 0
-        assert "1 hits, 1 misses" in capsys.readouterr().out
+        assert "1 hits, 1 misses, 1 corrupt (recomputed)" in capsys.readouterr().out
+        assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
 
-    def test_cache_gc_and_clear(self, tmp_path, capsys):
+    def test_cache_clear(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        _clear_all_caches()
-        assert main([
-            "run", "fig10", "--requests", "1200", "--cache-dir", str(cache_dir),
-        ]) == 0
-        capsys.readouterr()
-
-        assert main([
-            "cache", "--cache-dir", str(cache_dir), "gc", "--max-bytes", "0",
-        ]) == 0
-        assert "evicted 2 blobs" in capsys.readouterr().out
-
         _clear_all_caches()
         assert main([
             "run", "fig10", "--requests", "1200", "--cache-dir", str(cache_dir),
         ]) == 0
         capsys.readouterr()
         assert main(["cache", "--cache-dir", str(cache_dir), "clear"]) == 0
-        assert "removed 2 blobs" in capsys.readouterr().out
+        assert "removed 2 entries" in capsys.readouterr().out
         assert main(["cache", "--cache-dir", str(cache_dir), "stats"]) == 0
-        assert "blobs:      0" in capsys.readouterr().out
+        assert "entries:    0" in capsys.readouterr().out
 
     def test_json_out_is_valid_json(self, tmp_path, capsys):
         _clear_all_caches()

@@ -2,7 +2,7 @@
 import gzip
 from pathlib import Path
 
-from repro.store.atomic import atomic_write_bytes, atomic_write_text
+from repro.core.atomic import atomic_write_bytes, atomic_write_text
 
 
 def roundtrip(path, payload):

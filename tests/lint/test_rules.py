@@ -74,10 +74,10 @@ def test_wall_clock_allowed_inside_obs():
     assert [f.rule_id for f in findings] == ["det-wall-clock"]
 
 
-def test_atomic_write_allowed_inside_store_atomic():
+def test_atomic_write_allowed_inside_core_atomic():
     source = "handle = open('x', 'w')\n"
-    assert lint_source(source, path="src/repro/store/atomic.py") == []
-    findings = lint_source(source, path="src/repro/store/cas.py")
+    assert lint_source(source, path="src/repro/core/atomic.py") == []
+    findings = lint_source(source, path="src/repro/core/ioutil.py")
     assert [f.rule_id for f in findings] == ["io-atomic-write"]
 
 

@@ -95,10 +95,11 @@ def test_corrupted_blob_triggers_recompute_with_identical_result(tmp_path):
     store.configure(tmp_path / "cache")
     prewarm(jobs_for("fig10", SMALL), processes=1)
 
-    # Corrupt every stored blob.
-    for blob in (tmp_path / "cache" / "objects").rglob("*"):
-        if blob.is_file():
-            blob.write_bytes(b"rotten" + blob.read_bytes()[6:])
+    # Corrupt every stored entry (its digest no longer matches).
+    for entry in (tmp_path / "cache").rglob("*"):
+        if entry.is_file():
+            data = entry.read_bytes()
+            entry.write_bytes(data[:32] + b"rotten" + data[38:])
 
     _clear_process_caches()
     memo = store.configure(tmp_path / "cache")

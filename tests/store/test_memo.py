@@ -3,7 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +16,9 @@ import repro
 from repro import store
 from repro.core.columnar import numpy_or_none
 from repro.eval.parallel import DramJob, SizeJob, SpecJob
-from repro.store import memo as memo_module
-from repro.store.memo import ExperimentMemo, cache_key
+from repro.store import ExperimentMemo, cache_key
+
+PACKAGE = Path(repro.__file__).parent
 
 
 @pytest.fixture
@@ -44,16 +50,54 @@ def test_cache_key_distinguishes_job_kinds():
     assert cache_key(SpecJob("mcf", 2000)) != cache_key(SizeJob("mcf", 2000))
 
 
-def test_version_bump_invalidates_keys(monkeypatch):
-    job = DramJob("hevc1", 2000)
-    before = cache_key(job)
-    monkeypatch.setattr(repro, "__version__", "999.0.0")
-    monkeypatch.setattr(memo_module, "_fingerprint_cache", None)
-    after = cache_key(job)
-    monkeypatch.undo()
-    memo_module._fingerprint_cache = None
-    assert before != after
-    assert cache_key(job) == before  # restored version -> restored keys
+def test_source_edit_invalidates_keys(tmp_path):
+    copy = tmp_path / "repro"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert store.source_digest(copy) == store.source_digest(PACKAGE)
+    comparison = copy / "eval" / "comparison.py"
+    comparison.write_text(comparison.read_text() + "# an edit\n")
+    edited = store.source_digest(copy)
+    assert edited != store.source_digest(PACKAGE)
+    # A moved file changes the digest even with every byte kept.
+    comparison.rename(copy / "eval" / "comparison2.py")
+    assert store.source_digest(copy) not in (edited, store.source_digest(PACKAGE))
+
+
+def _run_fig8(package_root, out, *flags):
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    command = [
+        sys.executable, "-m", "repro.eval", "quick", "fig8", "--requests", "500",
+        "--json-out", str(out), *flags,
+    ]
+    result = subprocess.run(
+        command, env=env, cwd=package_root, capture_output=True, text=True, check=True
+    )
+    return result.stdout
+
+
+def test_edited_package_misses_instead_of_serving_stale_results(tmp_path):
+    """Regression: keys once salted with ``repro.__version__`` only, so
+    an edit that changes a figure was served the pre-edit payload."""
+    src = tmp_path / "src"
+    shutil.copytree(PACKAGE, src / "repro", ignore=shutil.ignore_patterns("__pycache__"))
+    cache_dir = str(tmp_path / "cache")
+
+    first = _run_fig8(src, tmp_path / "a.json", "--cache-dir", cache_dir)
+    assert "cache: 0 hits, 1 misses" in first
+
+    comparison = src / "repro" / "eval" / "comparison.py"
+    text = comparison.read_text()
+    assert "mcc_trace = synthesize(mcc_profile, seed=seed + 1)" in text
+    comparison.write_text(text.replace(
+        "mcc_trace = synthesize(mcc_profile, seed=seed + 1)",
+        "mcc_trace = synthesize(mcc_profile, seed=seed + 2)",
+    ))
+
+    second = _run_fig8(src, tmp_path / "b.json", "--cache-dir", cache_dir)
+    assert "cache: 0 hits, 1 misses" in second
+    _run_fig8(src, tmp_path / "fresh.json", "--no-cache")
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+    assert (tmp_path / "b.json").read_bytes() != (tmp_path / "a.json").read_bytes()
 
 
 def test_non_dataclass_jobs_rejected():
@@ -81,7 +125,7 @@ def test_cache_key_uses_resolved_backend():
     job = DramJob("hevc1", 2000)
     canonical = json.dumps(
         {
-            "env": memo_module._environment_fingerprint(),
+            "source": store.source_digest(PACKAGE),
             "backend": "columnar" if numpy_or_none() is not None else "scalar",
             "kind": "DramJob",
             "fields": dataclasses.asdict(job),
@@ -157,24 +201,30 @@ def test_distinct_jobs_do_not_collide(memo):
 # ---------------------------------------------------------------------------
 
 
-def _blob_paths(memo):
-    return [
-        path
-        for path in (memo.root / "objects").rglob("*")
-        if path.is_file()
-    ]
+def _entry_paths(memo):
+    return [path for path in memo.root.rglob("*") if path.is_file()]
+
+
+def test_entry_layout_is_digest_then_pickle(memo):
+    job = SizeJob("mcf", 1000)
+    memo.store(job, {"trace": 99})
+    key = cache_key(job)
+    (entry,) = _entry_paths(memo)
+    assert entry == memo.root / key[:2] / key
+    data = entry.read_bytes()
+    assert data[:32] == hashlib.sha256(data[32:]).digest()
+    assert pickle.loads(data[32:]) == {"trace": 99}
 
 
 def test_corrupt_blob_is_a_miss_and_is_evicted(memo):
     job = SizeJob("mcf", 1000)
     memo.store(job, {"trace": 99})
-    (blob,) = _blob_paths(memo)
-    blob.write_bytes(b"\x00garbage\x00")
+    (entry,) = _entry_paths(memo)
+    entry.write_bytes(b"\x00garbage\x00")
 
     assert memo.fetch(job) is None  # never returns garbage
-    assert memo.corrupt == 1
-    assert _blob_paths(memo) == []  # evicted
-    assert memo.keys() == []  # key dropped too
+    assert memo.corrupt == 1 and memo.misses == 1
+    assert _entry_paths(memo) == []  # evicted
 
     # The natural recovery: recompute and store again.
     memo.store(job, {"trace": 99})
@@ -183,66 +233,22 @@ def test_corrupt_blob_is_a_miss_and_is_evicted(memo):
 
 def test_valid_hash_but_bad_pickle_is_a_miss(memo):
     job = SizeJob("mcf", 1000)
-    key = cache_key(job)
-    digest = memo.cas.put(b"not a pickle at all")
-    store.atomic_write_text(memo.root / "keys" / key, digest + "\n")
+    memo.store(job, "payload")
+    (entry,) = _entry_paths(memo)
+    blob = b"not a pickle at all"
+    entry.write_bytes(hashlib.sha256(blob).digest() + blob)
 
     assert memo.fetch(job) is None
     assert memo.corrupt == 1
-    assert not memo.cas.contains(digest)
-
-
-def test_dangling_key_is_a_miss(memo):
-    job = SizeJob("mcf", 1000)
-    memo.store(job, "payload")
-    for blob in _blob_paths(memo):
-        blob.unlink()
-    assert memo.fetch(job) is None
-    assert memo.keys() == []
-
-
-def test_verify_prunes_corruption_and_dangling_keys(memo):
-    keep = SizeJob("mcf", 1000)
-    corrupt = SizeJob("mcf", 2000)
-    memo.store(keep, "keep me")
-    memo.store(corrupt, "corrupt me")
-    target = memo.cas.put(pickle.dumps("corrupt me", protocol=4))
-    path = memo.root / "objects" / target[:2] / target[2:]
-    path.write_bytes(b"scrambled")
-
-    report = memo.verify(evict_corrupt=True)
-    assert report["checked"] == 2
-    assert report["corrupt"] == [target]
-    assert len(report["dangling"]) == 1
-    assert memo.fetch(keep) == "keep me"
-    assert memo.fetch(corrupt) is None
-
-
-# ---------------------------------------------------------------------------
-# Garbage collection
-# ---------------------------------------------------------------------------
-
-
-def test_gc_prunes_key_entries_of_evicted_blobs(memo):
-    import os
-
-    jobs = [SizeJob("mcf", n) for n in (1000, 2000, 3000)]
-    for index, job in enumerate(jobs):
-        memo.store(job, "x" * 200)
-    for index, path in enumerate(sorted(_blob_paths(memo))):
-        os.utime(path, (1000.0 + index, 1000.0 + index))
-
-    memo.gc(max_bytes=0)
-    assert memo.keys() == []
-    assert all(memo.fetch(job) is None for job in jobs)
+    assert not entry.exists()
 
 
 def test_clear_removes_everything(memo):
     memo.store(SizeJob("mcf", 1000), "a")
     memo.store(SizeJob("mcf", 2000), "b")
-    assert memo.clear() >= 1
+    assert memo.clear() == 2
     assert memo.stats()["entries"] == 0
-    assert memo.stats()["blobs"] == 0
+    assert memo.stats()["bytes"] == 0
 
 
 # ---------------------------------------------------------------------------
