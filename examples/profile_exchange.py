@@ -23,6 +23,7 @@ from repro import (
     workload_trace,
 )
 from repro.core.serialization import profile_to_dict
+from repro.core.tracefile import save_trace
 from repro.dram.config import MemoryConfig
 from repro.sim.driver import simulate_profile
 
@@ -33,7 +34,7 @@ def industry_side(workdir: Path) -> Path:
     """Collect a trace, profile it, ship the profile."""
     trace = workload_trace("manhattan", num_requests=NUM_REQUESTS)
     trace_path = workdir / "manhattan.mtr.gz"
-    trace_bytes = trace.save_binary(trace_path)
+    trace_bytes = save_trace(trace, trace_path)
 
     profile = build_profile(trace)  # note: no workload name recorded
     profile_path = workdir / "mystery-gpu.mprof.gz"

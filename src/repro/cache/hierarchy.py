@@ -69,23 +69,16 @@ class CacheHierarchy:
         """Replay a trace, column trace or request iterable (order only)."""
         if chunk_requests <= 0:
             raise ValueError(f"chunk_requests must be positive, got {chunk_requests}")
-        if isinstance(requests, ColumnarTrace):
-            self.run_blocks(requests.iter_blocks(chunk_requests))
-            return
         block_size = self.l1.config.block_size
+        if isinstance(requests, ColumnarTrace):
+            self._replay(
+                _expand_columns(block, block_size)
+                for block in requests.iter_blocks(chunk_requests)
+            )
+            return
         self._replay(
             _expand_requests(chunk, block_size) for chunk in _chunks(requests, chunk_requests)
         )
-
-    def run_blocks(self, blocks: Iterable[ColumnarTrace]) -> None:
-        """Replay a stream of column blocks (order only, atomic mode).
-
-        The out-of-core entry point: blocks may come straight from
-        :func:`repro.stream.iter_blocks`, so peak memory is O(block) no
-        matter the trace size.
-        """
-        block_size = self.l1.config.block_size
-        self._replay(_expand_columns(block, block_size) for block in blocks)
 
     def _replay(self, streams: Iterable[Tuple[List[int], List[bool]]]) -> None:
         levels = (("l1", self.l1.stats), ("l2", self.l2.stats))

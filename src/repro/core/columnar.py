@@ -21,8 +21,9 @@ Two storage engines back the columns:
 Column bounds match the on-disk ``.mtr`` record (``<QQBI``): 64-bit
 timestamps/addresses, 32-bit sizes, 8-bit operations. Conversion to and
 from :class:`~repro.core.trace.Trace` is lossless and order-preserving
-within those bounds (addresses above 2**32 are routine; anything a
-``Trace`` can save, a ``ColumnarTrace`` can hold).
+within those bounds (addresses above 2**32 are routine). Trace files
+load into, and save from, a ``ColumnarTrace``
+(:mod:`repro.core.tracefile`).
 
 Profile-build data path
 -----------------------
@@ -283,10 +284,10 @@ class ColumnarTrace:
         return len(self) - self.write_count()
 
     def write_count(self) -> int:
-        return int(sum(self.ops))
+        return sum(self.ops.tolist())
 
     def total_bytes(self) -> int:
-        return int(sum(self.sizes))
+        return sum(self.sizes.tolist())
 
     def head(self, count: int) -> "ColumnarTrace":
         """The first ``count`` requests (mirrors :meth:`Trace.head`)."""
@@ -314,8 +315,8 @@ class ColumnarTrace:
         """Yield consecutive column blocks of at most ``block_requests``.
 
         Blocks are views/slices in request order; concatenating them
-        reproduces the trace exactly. This is the streaming unit the
-        batched cache simulator consumes chunk by chunk.
+        reproduces the trace exactly. The cache hierarchy replays a
+        column trace chunk by chunk through them.
         """
         if block_requests <= 0:
             raise ValueError(f"block_requests must be positive, got {block_requests}")

@@ -6,10 +6,8 @@ payload is never resident whole. A truncated or corrupt stream raises
 :class:`~repro.core.errors.CorruptArtifactError` naming the file and the
 byte offset of the first bad compressed byte.
 
-Used by :mod:`repro.core.trace` and :mod:`repro.core.serialization`.
-The write side is :mod:`repro.core.atomic`; the chunked *block* reader
-for out-of-core trace streaming is :mod:`repro.stream.reader`, which
-shares the same conventions.
+Used by :mod:`repro.core.tracefile` and :mod:`repro.core.serialization`.
+The write side is :mod:`repro.core.atomic`.
 """
 
 from __future__ import annotations

@@ -75,48 +75,6 @@ def synthesize(
     return Trace(synthesize_stream(profile, seed=seed, strict=strict))
 
 
-def synthesize_to_file(
-    profile: Profile,
-    path,
-    seed: Union[int, random.Random, None] = 0,
-    strict: bool = True,
-    block_requests: int = 8192,
-) -> int:
-    """Synthesize straight to a trace file, one column block at a time.
-
-    Byte-identical to ``synthesize(...).save_binary(path)`` (or
-    ``save_csv``, by suffix), but peak memory is O(block): the merge
-    stream is chunked into :class:`~repro.core.columnar.ColumnarTrace`
-    blocks and written through the crash-safe
-    :class:`~repro.stream.writer.TraceBlockWriter`. The leaf counts fix
-    the total up front, so the binary header never needs back-patching
-    and a short stream is rejected. Returns the number of requests
-    written.
-    """
-    from ..stream.writer import TraceBlockWriter
-    from .columnar import ColumnarTrace
-
-    if block_requests <= 0:
-        raise ValueError(f"block_requests must be positive, got {block_requests}")
-    expected = sum(leaf.count for leaf in profile)
-    timestamps: List[int] = []
-    addresses: List[int] = []
-    sizes: List[int] = []
-    ops: List[int] = []
-    with TraceBlockWriter(path, expected_requests=expected) as writer:
-        for request in synthesize_stream(profile, seed=seed, strict=strict):
-            timestamps.append(request.timestamp)
-            addresses.append(request.address)
-            sizes.append(request.size)
-            ops.append(int(request.operation))
-            if len(timestamps) >= block_requests:
-                writer.write_block(ColumnarTrace(timestamps, addresses, sizes, ops))
-                timestamps, addresses, sizes, ops = [], [], [], []
-        if timestamps:
-            writer.write_block(ColumnarTrace(timestamps, addresses, sizes, ops))
-    return writer.requests_written
-
-
 class FeedbackSynthesizer:
     """Coupled synthesis with backpressure feedback (Fig. 1, Option B).
 

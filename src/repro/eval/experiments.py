@@ -23,6 +23,7 @@ from ..core.serialization import profile_size_bytes
 from ..core.spatial import partition_dynamic, partition_fixed
 from ..core.synthesis import synthesize
 from ..core.trace import Trace
+from ..core.tracefile import save_trace
 from ..sim.cache_driver import run_cache_trace
 from ..workloads.registry import TABLE_II_DEVICES, make_generator
 from ..workloads.spec import FIG15_BENCHMARKS, SPEC_BENCHMARKS
@@ -430,7 +431,7 @@ def spec_size_record(benchmark: str, num_requests: int = DEFAULT_REQUESTS) -> di
     interval = _spec_interval(num_requests)
     trace = make_generator(benchmark).generate(num_requests)
     with tempfile.TemporaryDirectory() as tmp:
-        trace_bytes = trace.save_binary(Path(tmp) / f"{benchmark}.mtr.gz")
+        trace_bytes = save_trace(trace, Path(tmp) / f"{benchmark}.mtr.gz")
     dynamic = build_profile(trace, two_level_rs(interval, "dynamic"))
     fixed = build_profile(trace, two_level_rs(interval, "fixed"))
     record = {

@@ -7,11 +7,10 @@ repo funnels through :mod:`repro.core.atomic` (temp file + fsync +
 same-directory ``os.replace``). A bare ``open(path, "w")`` reintroduces
 the torn-write window that helper exists to close.
 
-Similarly, the streaming pipeline's O(block) memory bound holds only if
-no trace/profile loader slurps a whole file in one call: a single
-``handle.read()`` in a hot I/O module silently reintroduces the
-O(trace) peak the out-of-core refactor removed (see
-``io-unbounded-read``).
+Similarly, the trace and profile loaders read the compressed bytes in
+bounded chunks and never hold the whole compressed file next to its
+decompressed payload: a single ``handle.read()`` in one of those modules
+silently doubles their peak memory (see ``io-unbounded-read``).
 """
 
 from __future__ import annotations
@@ -42,11 +41,11 @@ def _write_mode(call: ast.Call, mode_arg_index: int) -> Optional[str]:
     return None
 
 
-#: The modules whose reads sit on the trace/profile hot path: file sizes
-#: there scale with trace length, so an unbounded read is an O(trace)
-#: memory spike. ``("stream",)`` covers the whole streaming package.
+#: The modules that read trace and profile files: file sizes there scale
+#: with trace length, so an unbounded read of the compressed file is an
+#: O(trace) memory spike on top of the decompressed payload.
 _HOT_READ_MODULES = (
-    ("core", "trace.py"),
+    ("core", "tracefile.py"),
     ("core", "serialization.py"),
     ("core", "ioutil.py"),
 )
@@ -72,7 +71,7 @@ def _is_unbounded_size(call: ast.Call) -> bool:
 
 @register
 class UnboundedReadRule(Rule):
-    """Trace/profile hot paths must read in bounded chunks.
+    """Trace/profile loaders must read the compressed file in bounded chunks.
 
     Flags argless ``.read()`` (and the equivalent ``.read(-1)`` /
     ``.read(None)``) plus ``Path.read_bytes``/``read_text`` inside the
@@ -87,10 +86,7 @@ class UnboundedReadRule(Rule):
     description = "unbounded file read on a trace/profile hot path"
 
     def check(self, context: LintContext) -> None:
-        hot = context.in_package("stream") or any(
-            context.is_module(*parts) for parts in _HOT_READ_MODULES
-        )
-        if not hot:
+        if not any(context.is_module(*parts) for parts in _HOT_READ_MODULES):
             return
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Call):
@@ -103,14 +99,14 @@ class UnboundedReadRule(Rule):
                     node,
                     self.rule_id,
                     ".read() slurps the whole stream; read in bounded "
-                    "chunks (see repro.core.ioutil / repro.stream)",
+                    "chunks (see repro.core.ioutil)",
                 )
             elif func.attr in ("read_bytes", "read_text"):
                 context.report(
                     node,
                     self.rule_id,
                     f".{func.attr}(...) materializes the whole file; read "
-                    "in bounded chunks (see repro.core.ioutil / repro.stream)",
+                    "in bounded chunks (see repro.core.ioutil)",
                 )
 
 

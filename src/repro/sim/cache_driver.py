@@ -2,8 +2,8 @@
 
 Atomic-mode replay: timestamps are ignored and only request order
 matters, matching the paper's gem5 configuration for the CPU/L1 study.
-Every entry point — in-memory traces, column blocks, sanitize mode, with
-or without numpy — runs the one :class:`~repro.cache.hierarchy.CacheHierarchy`;
+Every input — request objects, column traces, sanitize mode, with or
+without numpy — runs the one :class:`~repro.cache.hierarchy.CacheHierarchy`;
 sanitize mode only wraps the input stream in an invariant checker.
 """
 
@@ -73,28 +73,4 @@ def run_cache_trace(
         requests = trace.iter_requests() if isinstance(trace, ColumnarTrace) else trace
         trace = checker.watch(requests)
     hierarchy.run(trace)
-    return CacheRunResult(l1=hierarchy.l1_stats, l2=hierarchy.l2_stats)
-
-
-def run_cache_blocks(
-    blocks: Iterable[ColumnarTrace],
-    l1_config: Optional[CacheConfig] = None,
-    l2_config: Optional[CacheConfig] = None,
-    sanitize: Optional[bool] = None,
-) -> CacheRunResult:
-    """Replay a stream of column blocks through the L1/L2 hierarchy.
-
-    The out-of-core twin of :func:`run_cache_trace`: blocks (e.g. from
-    :func:`repro.stream.iter_blocks`) are consumed one at a time, so
-    peak memory is O(block) regardless of trace length. Statistics
-    equal :func:`run_cache_trace` over the concatenated blocks.
-    """
-    hierarchy = _hierarchy(l1_config, l2_config)
-    checker = _checker(sanitize, "run_cache_blocks")
-    if checker is None:
-        hierarchy.run_blocks(blocks)
-    else:
-        hierarchy.run(
-            checker.watch(request for block in blocks for request in block.iter_requests())
-        )
     return CacheRunResult(l1=hierarchy.l1_stats, l2=hierarchy.l2_stats)

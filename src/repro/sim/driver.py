@@ -1,15 +1,15 @@
 """Simulation drivers: trace / profile -> crossbar -> memory system.
 
 Mirrors the paper's validation platform (Sec. IV-A): a traffic generator
-feeding main memory through a crossbar. Three entry points:
+feeding main memory through a crossbar. Two entry points:
 
 * :func:`simulate_trace` — replay a trace or any time-ordered request
-  iterable (the *baseline* runs, and Option A synthesis);
+  iterable (the *baseline* runs, and Option A synthesis: pass it
+  :func:`~repro.core.synthesis.synthesize_stream` to replay a synthetic
+  stream without materializing it);
 * :func:`simulate_profile` — coupled Option B: synthesis pulls requests
   from a :class:`FeedbackSynthesizer` and feeds backpressure delays back
-  into its timestamps;
-* :func:`simulate_synthetic` — Option A: profile -> streamed synthetic
-  requests -> replay, without materializing the trace.
+  into its timestamps.
 
 All of them drive one memory-system engine
 (:class:`~repro.dram.batched.MemoryEngine`, behind
@@ -38,7 +38,7 @@ from .. import obs
 from ..core.columnar import ColumnarTrace
 from ..core.profile import Profile
 from ..core.request import MemoryRequest
-from ..core.synthesis import FeedbackSynthesizer, synthesize_stream
+from ..core.synthesis import FeedbackSynthesizer
 from ..dram.config import MemoryConfig
 from ..dram.memory_system import MemorySystem
 from ..dram.stats import MemorySystemStats
@@ -127,34 +127,6 @@ def simulate_trace(
     return _replay(lambda crossbar: _feed_lazy(crossbar, trace), config, crossbar_config)
 
 
-def simulate_blocks(
-    blocks: Iterable[ColumnarTrace],
-    config: Optional[MemoryConfig] = None,
-    crossbar_config: Optional[CrossbarConfig] = None,
-    sanitize: Optional[bool] = None,
-) -> MemorySystemStats:
-    """Replay a stream of column blocks through crossbar + memory.
-
-    The out-of-core twin of :func:`simulate_trace`: blocks (e.g. from
-    :func:`repro.stream.iter_blocks`) are consumed one block at a time,
-    so peak memory is O(block) regardless of trace length, and never
-    expand into per-request objects. Statistics equal
-    :func:`simulate_trace` over the concatenated blocks.
-    """
-    checker = _checker(sanitize, "simulate_blocks")
-    if checker is not None:
-        requests = checker.watch(
-            request for block in blocks for request in block.iter_requests()
-        )
-        return _replay(lambda crossbar: _feed_lazy(crossbar, requests), config, crossbar_config)
-
-    def drive(crossbar: Crossbar) -> None:
-        for block in blocks:
-            crossbar.feed(block)
-
-    return _replay(drive, config, crossbar_config)
-
-
 def simulate_profile(
     profile: Profile,
     config: Optional[MemoryConfig] = None,
@@ -185,26 +157,3 @@ def simulate_profile(
                 synthesizer.report_backpressure(delay)
 
     return _replay(drive, config, crossbar_config)
-
-
-def simulate_synthetic(
-    profile: Profile,
-    config: Optional[MemoryConfig] = None,
-    crossbar_config: Optional[CrossbarConfig] = None,
-    seed: Union[int, random.Random, None] = 0,
-    strict: bool = True,
-    sanitize: Optional[bool] = None,
-) -> MemorySystemStats:
-    """Option A: synthesize and replay, streaming request by request.
-
-    Equivalent to replaying :func:`~repro.core.synthesis.synthesize`'s
-    trace, but the synthetic requests are fed straight from the
-    priority-queue merge into the simulator without buffering the whole
-    stream in memory first (the engine consumes it in column chunks).
-    """
-    return simulate_trace(
-        synthesize_stream(profile, seed=seed, strict=strict),
-        config,
-        crossbar_config,
-        sanitize=sanitize,
-    )

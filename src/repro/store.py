@@ -45,6 +45,7 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import threading
 from pathlib import Path
 from typing import Any, List, Optional, Union
@@ -58,7 +59,12 @@ from .core.columnar import resolve_backend
 _PICKLE_PROTOCOL = 4
 
 _DIGEST_BYTES = 32
+
 _KEY_CHARS = frozenset("0123456789abcdef")
+
+#: The subdirectories of the layout before keys hashed the package
+#: sources. Nothing reads them; :meth:`ExperimentMemo.clear` removes them.
+_OLD_LAYOUT = ("keys", "objects", "locks")
 
 _fingerprint_cache: Optional[str] = None
 
@@ -193,10 +199,13 @@ class ExperimentMemo:
         }
 
     def clear(self) -> int:
-        """Drop every entry; returns the number removed."""
+        """Drop every entry and the old layout; returns the entries removed."""
         entries = self._entries()
         for path in entries:
             path.unlink()
+        for name in _OLD_LAYOUT:
+            if (self.root / name).is_dir():
+                shutil.rmtree(self.root / name)
         return len(entries)
 
 

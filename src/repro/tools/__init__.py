@@ -18,6 +18,7 @@ import sys
 from typing import Callable
 
 from ..core.errors import CorruptArtifactError
+from ..core.tracefile import UnknownTraceSuffixError
 
 
 def positive_int(text: str) -> int:
@@ -34,9 +35,10 @@ def positive_int(text: str) -> int:
 def run_command(prog: str, command: Callable[..., int], *args) -> int:
     """Run ``command(*args)`` and return its exit status.
 
-    An unreadable, unwritable, missing or corrupt file ends the command
-    with ``prog: error: <path>: <reason>`` on stderr and status 1,
-    instead of a traceback. A reader that closes the pipe early
+    An unreadable, unwritable, missing or corrupt file, or a trace path
+    whose suffix names no trace format, ends the command with
+    ``prog: error: <path>: <reason>`` on stderr and status 1, instead of
+    a traceback. A reader that closes the pipe early
     (``... | head -2``) ends it quietly with status 1 instead of a
     ``BrokenPipeError`` traceback. As in the Python docs' SIGPIPE
     recipe, stdout is then pointed at devnull so that the interpreter's
@@ -50,7 +52,7 @@ def run_command(prog: str, command: Callable[..., int], *args) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (OSError, CorruptArtifactError) as error:
+    except (OSError, CorruptArtifactError, UnknownTraceSuffixError) as error:
         if isinstance(error, OSError) and error.filename is not None:
             message = f"{error.filename}: {error.strerror}"
         else:

@@ -21,8 +21,8 @@ from ..core.leaf import LeafModel
 from ..core.profiler import build_profile
 from ..core.serialization import load_profile, save_profile
 from ..core.synthesis import synthesize
+from ..core.tracefile import load_trace, save_trace
 from . import positive_int, run_command
-from .trace import load_any, save_any
 
 
 def _hierarchy(args: argparse.Namespace):
@@ -32,7 +32,7 @@ def _hierarchy(args: argparse.Namespace):
 
 
 def cmd_create(args: argparse.Namespace) -> int:
-    trace = load_any(Path(args.trace))
+    trace = load_trace(args.trace)
     factory = stm_leaf_factory if args.leaf_model == "stm" else LeafModel.fit
     name = "" if args.anonymous else Path(args.trace).stem
     profile = build_profile(trace, _hierarchy(args), leaf_factory=factory, name=name)
@@ -53,7 +53,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_synthesize(args: argparse.Namespace) -> int:
     profile = load_profile(args.profile)
     trace = synthesize(profile, seed=args.seed, strict=not args.no_strict)
-    size = save_any(trace, Path(args.output))
+    size = save_trace(trace, args.output)
     print(f"synthesized {len(trace):,} requests -> {args.output} ({size:,} bytes)")
     return 0
 

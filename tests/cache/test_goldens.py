@@ -3,14 +3,14 @@
 The goldens were recorded on the original scalar line-scan cache (see
 ``golden_cases.py``); the dict-LRU hierarchy must reproduce them bit
 for bit through every entry point: request objects, column traces of
-any chunk size, block streams, and the stdlib column fallback.
+any chunk size, and the stdlib column fallback.
 """
 
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy, paper_l2_config
 from repro.core.columnar import ColumnarTrace
-from repro.sim.cache_driver import run_cache_blocks, run_cache_trace
+from repro.sim.cache_driver import run_cache_trace
 
 from . import golden_cases
 
@@ -52,13 +52,6 @@ def test_lazy_request_stream_in_small_chunks(name, label):
     hierarchy = CacheHierarchy(golden_cases.L1_CONFIGS[label], paper_l2_config())
     hierarchy.run(iter(golden_cases.trace(name)), chunk_requests=7)
     assert _digest(hierarchy.l1_stats, hierarchy.l2_stats) == _golden(name, label)
-
-
-@pytest.mark.parametrize("name,label", ENTRY_CASES)
-def test_block_stream_matches_golden(name, label):
-    columns = ColumnarTrace.from_trace(golden_cases.trace(name))
-    result = run_cache_blocks(columns.iter_blocks(500), golden_cases.L1_CONFIGS[label])
-    assert _digest(result.l1, result.l2) == _golden(name, label)
 
 
 @pytest.mark.parametrize("name,label", ENTRY_CASES)

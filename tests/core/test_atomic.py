@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.serialization import load_profile, save_profile
 from repro.core.trace import Trace
+from repro.core.tracefile import load_trace, save_trace
 from repro.core.atomic import AtomicFileWriter, atomic_write_bytes, atomic_write_text
 
 
@@ -105,7 +106,7 @@ save_profile(profile, {repr(str(path))})
 
 def test_interrupted_trace_save_keeps_previous_trace(tmp_path, monkeypatch, mixed_trace):
     path = tmp_path / "trace.mtr.gz"
-    mixed_trace.save_binary(path)
+    save_trace(mixed_trace, path)
     before = path.read_bytes()
 
     calls = {"n": 0}
@@ -117,9 +118,9 @@ def test_interrupted_trace_save_keeps_previous_trace(tmp_path, monkeypatch, mixe
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError):
-        Trace(list(mixed_trace) * 4).save_binary(path)
+        save_trace(Trace(list(mixed_trace) * 4), path)
     monkeypatch.setattr(os, "replace", real_replace)
 
     assert calls["n"] == 1
     assert path.read_bytes() == before
-    assert Trace.load_binary(path) == mixed_trace
+    assert load_trace(path).to_trace() == mixed_trace

@@ -97,6 +97,14 @@ class TestRoundTrip:
         )
         assert cols.total_bytes() == sum(r.size for r in trace)
 
+    def test_counts_do_not_wrap_at_the_column_width(self, engine):
+        # Regression: summing uint8 ops / uint32 sizes element by element
+        # stayed in the column dtype under numpy and wrapped silently.
+        cols = ColumnarTrace([1] * 300, [64] * 300, [2**31] * 300, [1] * 300)
+        assert cols.write_count() == 300
+        assert cols.read_count() == 0
+        assert cols.total_bytes() == 300 * 2**31
+
     def test_empty_trace_has_no_times(self, engine):
         cols = ColumnarTrace.empty()
         with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ from repro.core.profiler import build_profile
 from repro.core.serialization import profile_to_dict, save_profile
 from repro.workloads import workload_trace
 
-from ..stream.conftest import synthetic_trace
+from ..conftest import synthetic_trace
 
 HAVE_NUMPY = numpy_or_none() is not None
 

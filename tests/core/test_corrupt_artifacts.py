@@ -14,7 +14,7 @@ from repro import CorruptArtifactError
 from repro.core.hierarchy import two_level_ts
 from repro.core.profiler import build_profile
 from repro.core.serialization import load_profile, save_profile
-from repro.core.trace import Trace
+from repro.core.tracefile import load_trace, save_trace
 from repro.workloads.registry import workload_trace
 
 
@@ -70,30 +70,30 @@ def test_corrupt_error_is_still_a_valueerror(tmp_path):
 
 def test_truncated_binary_trace(tmp_path, mixed_trace):
     path = tmp_path / "trace.mtr"
-    mixed_trace.save_binary(path)
+    save_trace(mixed_trace, path)
     path.write_bytes(path.read_bytes()[:20])  # cuts a record in half
     with pytest.raises(CorruptArtifactError) as excinfo:
-        Trace.load_binary(path)
+        load_trace(path)
     assert str(path) in str(excinfo.value)
 
 
 def test_truncated_gzipped_binary_trace(tmp_path, mixed_trace):
     path = tmp_path / "trace.mtr.gz"
-    mixed_trace.save_binary(path)
+    save_trace(mixed_trace, path)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(CorruptArtifactError, match="gzip"):
-        Trace.load_binary(path)
+        load_trace(path)
 
 
 def test_binary_trace_with_invalid_operation(tmp_path, mixed_trace):
     path = tmp_path / "trace.mtr"
-    mixed_trace.save_binary(path)
+    save_trace(mixed_trace, path)
     data = bytearray(path.read_bytes())
     data[12 + 16] = 7  # first record's operation byte: not READ/WRITE
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptArtifactError, match="malformed binary trace"):
-        Trace.load_binary(path)
+        load_trace(path)
 
 
 def test_wrong_magic_raises_corrupt_artifact_error(tmp_path):
@@ -101,7 +101,7 @@ def test_wrong_magic_raises_corrupt_artifact_error(tmp_path):
     path = tmp_path / "trace.mtr"
     path.write_bytes(b"PNG\x00 definitely not a trace")
     with pytest.raises(ValueError, match="not a Mocktails binary trace") as raised:
-        Trace.load_binary(path)
+        load_trace(path)
     assert isinstance(raised.value, CorruptArtifactError)
     assert raised.value.path == str(path)
 
@@ -113,36 +113,36 @@ def test_wrong_magic_raises_corrupt_artifact_error(tmp_path):
 
 def test_truncated_gzipped_csv_trace(tmp_path, mixed_trace):
     path = tmp_path / "trace.csv.gz"
-    mixed_trace.save_csv(path)
+    save_trace(mixed_trace, path)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(CorruptArtifactError, match="gzip"):
-        Trace.load_csv(path)
+        load_trace(path)
 
 
 def test_csv_with_missing_header(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("1,0x1000,R,64\n")
     with pytest.raises(CorruptArtifactError, match="missing CSV header"):
-        Trace.load_csv(path)
+        load_trace(path)
 
 
 def test_csv_with_malformed_record(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("timestamp,address,operation,size\n1,0x1000,R\n")
     with pytest.raises(CorruptArtifactError, match="malformed CSV record"):
-        Trace.load_csv(path)
+        load_trace(path)
 
 
 def test_csv_with_non_numeric_fields(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("timestamp,address,operation,size\nabc,0x1000,R,64\n")
     with pytest.raises(CorruptArtifactError, match="malformed CSV record"):
-        Trace.load_csv(path)
+        load_trace(path)
 
 
 def test_csv_with_binary_garbage(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_bytes(b"\x93\xffbinary junk\x00")
     with pytest.raises(CorruptArtifactError, match="not an ASCII CSV trace"):
-        Trace.load_csv(path)
+        load_trace(path)

@@ -14,6 +14,7 @@ from repro.core.serialization import (
     save_profile,
 )
 from repro.core.synthesis import synthesize
+from repro.core.tracefile import save_trace
 
 
 class TestProfileRoundtrip:
@@ -75,7 +76,7 @@ class TestProfileSize:
         # A constant-stride trace compresses to a handful of constants.
         big = linear_trace
         profile = build_profile(big)
-        trace_size = big.save_binary(tmp_path / "t.gz")
+        trace_size = save_trace(big, tmp_path / "t.mtr.gz")
         profile_size = profile_size_bytes(profile)
         assert profile_size < trace_size * 5  # same order; real wins need volume
 

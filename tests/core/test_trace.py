@@ -1,9 +1,10 @@
-"""Unit tests for the Trace container and its on-disk formats."""
+"""Unit tests for the Trace container and its round trip through trace files."""
 
 import pytest
 
 from repro.core.request import AddressRange, Operation
 from repro.core.trace import Trace
+from repro.core.tracefile import load_trace, save_trace
 
 from ..conftest import req
 
@@ -92,20 +93,19 @@ class TestTraceProperties:
 class TestTraceIO:
     def test_csv_roundtrip(self, tmp_path, mixed_trace):
         path = tmp_path / "t.csv.gz"
-        mixed_trace.save_csv(path)
-        loaded = Trace.load_csv(path)
-        assert loaded == mixed_trace
+        save_trace(mixed_trace, path)
+        assert load_trace(path).to_trace() == mixed_trace
 
     def test_binary_roundtrip(self, tmp_path, mixed_trace):
         path = tmp_path / "t.mtr.gz"
-        size = mixed_trace.save_binary(path)
+        size = save_trace(mixed_trace, path)
         assert size > 0
-        assert Trace.load_binary(path) == mixed_trace
+        assert load_trace(path).to_trace() == mixed_trace
 
     def test_binary_roundtrip_empty(self, tmp_path):
         path = tmp_path / "empty.mtr.gz"
-        Trace().save_binary(path)
-        assert len(Trace.load_binary(path)) == 0
+        save_trace(Trace(), path)
+        assert len(load_trace(path)) == 0
 
     def test_binary_rejects_bad_magic(self, tmp_path):
         import gzip
@@ -113,7 +113,7 @@ class TestTraceIO:
         path = tmp_path / "bad.mtr.gz"
         path.write_bytes(gzip.compress(b"NOPE" + b"\x00" * 16))
         with pytest.raises(ValueError):
-            Trace.load_binary(path)
+            load_trace(path)
 
     def test_csv_rejects_missing_header(self, tmp_path):
         import gzip
@@ -122,31 +122,31 @@ class TestTraceIO:
         with gzip.open(path, "wt") as handle:
             handle.write("1,0x100,R,64\n")
         with pytest.raises(ValueError):
-            Trace.load_csv(path)
+            load_trace(path)
 
     def test_csv_preserves_operations(self, tmp_path):
         trace = Trace([req(0, 0x10, "W", 8)])
         path = tmp_path / "w.csv.gz"
-        trace.save_csv(path)
-        assert Trace.load_csv(path)[0].operation is Operation.WRITE
+        save_trace(trace, path)
+        assert load_trace(path)[0].operation is Operation.WRITE
 
     def test_plain_csv_roundtrip(self, tmp_path, mixed_trace):
         path = tmp_path / "t.csv"
-        size = mixed_trace.save_csv(path)
+        size = save_trace(mixed_trace, path)
         assert size == path.stat().st_size
         assert path.read_bytes().startswith(b"timestamp,")  # uncompressed
-        assert Trace.load_csv(path) == mixed_trace
+        assert load_trace(path).to_trace() == mixed_trace
 
     def test_plain_binary_roundtrip(self, tmp_path, mixed_trace):
         path = tmp_path / "t.mtr"
-        size = mixed_trace.save_binary(path)
+        size = save_trace(mixed_trace, path)
         assert size == path.stat().st_size
         assert path.read_bytes().startswith(b"MTR1")  # uncompressed
-        assert Trace.load_binary(path) == mixed_trace
+        assert load_trace(path).to_trace() == mixed_trace
 
     def test_save_returns_bytes_written(self, tmp_path, mixed_trace):
-        compressed = mixed_trace.save_csv(tmp_path / "t.csv.gz")
-        plain = mixed_trace.save_csv(tmp_path / "t.csv")
+        compressed = save_trace(mixed_trace, tmp_path / "t.csv.gz")
+        plain = save_trace(mixed_trace, tmp_path / "t.csv")
         assert compressed == (tmp_path / "t.csv.gz").stat().st_size
         assert compressed < plain
 
@@ -155,13 +155,10 @@ class TestTraceIO:
         # (and, for CSV, the output filename), so saving the same trace
         # twice produced different bytes. Byte 3 is the FLG field (0 =
         # no FNAME), bytes 4-8 are MTIME (0 = not recorded).
-        for suffix, save in (
-            ("csv.gz", mixed_trace.save_csv),
-            ("mtr.gz", mixed_trace.save_binary),
-        ):
+        for suffix in ("csv.gz", "mtr.gz"):
             first, second = tmp_path / f"a.{suffix}", tmp_path / f"b.{suffix}"
-            save(first)
-            save(second)
+            save_trace(mixed_trace, first)
+            save_trace(mixed_trace, second)
             data = first.read_bytes()
             assert data[3] == 0
             assert data[4:8] == b"\x00\x00\x00\x00"

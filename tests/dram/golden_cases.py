@@ -29,11 +29,12 @@ from typing import Callable, Dict
 from repro import obs
 from repro.core.hierarchy import two_level_ts
 from repro.core.profiler import build_profile
+from repro.core.synthesis import synthesize_stream
 from repro.dram.chargecache import ChargeCacheConfig
 from repro.dram.config import DRAMTiming, MemoryConfig
 from repro.dram.memory_system import MemorySystem
 from repro.interconnect.crossbar import Crossbar, CrossbarConfig
-from repro.sim.driver import simulate_profile, simulate_synthetic
+from repro.sim.driver import simulate_profile, simulate_trace
 from repro.sim.multi_device import run_soc
 from repro.sim.noc_driver import simulate_trace_mesh
 from repro.workloads import TABLE_II_WORKLOADS, make_generator
@@ -159,7 +160,9 @@ def _feedback(name):
 
 
 def _synthetic(name):
-    return lambda: {"stats": plain(simulate_synthetic(profile(name), seed=SEED + 2))}
+    return lambda: {
+        "stats": plain(simulate_trace(synthesize_stream(profile(name), seed=SEED + 2)))
+    }
 
 
 def _hook(name):

@@ -3,7 +3,7 @@
 The goldens (``goldens.json``, see ``golden_cases.py``) were recorded
 with the original per-object scalar controller. Here every column-block
 entry point — ``Crossbar.feed``, ``simulate_trace`` on columns and on
-lazy streams, ``simulate_blocks``, ``simulate_synthetic`` — must
+lazy streams, a streamed synthetic profile — must
 reproduce them bit for bit, for every Table II workload and for the
 contended, refresh, ChargeCache, hook, observability and no-numpy
 configurations.
@@ -19,7 +19,8 @@ from repro.dram.batched import batched_replay_supported
 from repro.dram.config import ChargeCacheConfig, DRAMTiming, MemoryConfig
 from repro.dram.memory_system import MemorySystem
 from repro.interconnect.crossbar import Crossbar
-from repro.sim.driver import simulate_blocks, simulate_synthetic, simulate_trace
+from repro.core.synthesis import synthesize_stream
+from repro.sim.driver import simulate_trace
 from repro.workloads import TABLE_II_WORKLOADS
 
 from . import golden_cases as g
@@ -137,17 +138,12 @@ class TestGatedConfigs:
 
 
 class TestEntryPoints:
-    def test_blocks_route_into_engine(self):
-        columns = ColumnarTrace.from_trace(g.trace("manhattan"))
-        stats = simulate_blocks(columns.iter_blocks(block_requests=700))
-        _assert_golden(_stats_payload(stats), "table2/manhattan/default")
-
     def test_lazy_stream_feed(self):
         stats = simulate_trace(iter(list(g.trace("opencl2"))))
         _assert_golden(_stats_payload(stats), "table2/opencl2/default")
 
     def test_synthetic_replay(self):
-        stats = simulate_synthetic(g.profile("hevc3"), seed=g.SEED + 2)
+        stats = simulate_trace(synthesize_stream(g.profile("hevc3"), seed=g.SEED + 2))
         _assert_golden(_stats_payload(stats), "synthetic/hevc3")
 
     def test_incremental_feeds_match_one_shot(self):

@@ -1,4 +1,4 @@
-# lint-path: repro/stream/reader.py
+# lint-path: repro/core/tracefile.py
 from pathlib import Path
 
 

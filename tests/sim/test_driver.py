@@ -6,7 +6,8 @@ from repro.core.profiler import build_profile
 from repro.core.hierarchy import two_level_ts
 from repro.dram.config import MemoryConfig
 from repro.interconnect.crossbar import CrossbarConfig
-from repro.sim.driver import simulate_profile, simulate_synthetic, simulate_trace
+from repro.core.synthesis import synthesize_stream
+from repro.sim.driver import simulate_profile, simulate_trace
 
 
 class TestSimulateTrace:
@@ -36,7 +37,7 @@ class TestSimulateProfileAndSynthetic:
     def test_synthetic_burst_counts_match_baseline(self, bursty_trace):
         baseline = simulate_trace(bursty_trace)
         profile = build_profile(bursty_trace, two_level_ts(100_000))
-        synthetic = simulate_synthetic(profile, seed=1)
+        synthetic = simulate_trace(synthesize_stream(profile, seed=1))
         assert synthetic.read_bursts == baseline.read_bursts
         assert synthetic.write_bursts == baseline.write_bursts
 

@@ -251,6 +251,19 @@ def test_clear_removes_everything(memo):
     assert memo.stats()["bytes"] == 0
 
 
+def test_clear_removes_the_old_layout_and_nothing_else(memo):
+    memo.store(SizeJob("mcf", 1000), "a")
+    for name in ("keys", "objects", "locks"):
+        nested = memo.root / name / "ab"
+        nested.mkdir(parents=True)
+        (nested / "entry").write_bytes(b"old")
+    (memo.root / "notes.txt").write_text("keep me")
+    assert memo.clear() == 1
+    assert not any((memo.root / name).exists() for name in ("keys", "objects", "locks"))
+    assert (memo.root / "notes.txt").read_text() == "keep me"
+    assert memo.stats()["entries"] == 0
+
+
 # ---------------------------------------------------------------------------
 # Active-memo plumbing
 # ---------------------------------------------------------------------------

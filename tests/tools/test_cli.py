@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.trace import Trace
+from repro.core.tracefile import load_trace
 from repro.tools import profile as profile_tool
 from repro.tools import soc as soc_tool
 from repro.tools import trace as trace_tool
@@ -45,7 +45,7 @@ class TestTraceTool:
 
     def test_generate_writes_file(self, trace_file):
         assert trace_file.exists()
-        assert len(Trace.load_binary(trace_file)) == 2000
+        assert len(load_trace(trace_file)) == 2000
 
     def test_generate_unknown_workload(self, tmp_path, capsys):
         code = trace_tool.main(["generate", "doom", str(tmp_path / "x.mtr.gz")])
@@ -63,7 +63,7 @@ class TestTraceTool:
         assert trace_tool.main(["convert", str(trace_file), str(csv_path)]) == 0
         back_path = tmp_path / "t2.mtr.gz"
         assert trace_tool.main(["convert", str(csv_path), str(back_path)]) == 0
-        assert Trace.load_binary(back_path) == Trace.load_binary(trace_file)
+        assert load_trace(back_path) == load_trace(trace_file)
 
     def test_seed_changes_trace(self, tmp_path):
         a, b = tmp_path / "a.mtr.gz", tmp_path / "b.mtr.gz"
@@ -71,7 +71,7 @@ class TestTraceTool:
                          "--seed", "1"])
         trace_tool.main(["generate", "crypto1", str(b), "--requests", "500",
                          "--seed", "2"])
-        assert Trace.load_binary(a) != Trace.load_binary(b)
+        assert load_trace(a) != load_trace(b)
 
 
 class TestProfileTool:
@@ -91,8 +91,8 @@ class TestProfileTool:
         assert profile_tool.main(
             ["synthesize", str(profile_path), str(clone_path), "--seed", "3"]
         ) == 0
-        clone = Trace.load_binary(clone_path)
-        original = Trace.load_binary(trace_file)
+        clone = load_trace(clone_path)
+        original = load_trace(trace_file)
         assert len(clone) == len(original)
         assert clone.read_count() == original.read_count()
 
@@ -114,7 +114,7 @@ class TestProfileTool:
         assert profile_tool.main(
             ["synthesize", str(profile_path), str(clone_path)]
         ) == 0
-        assert len(Trace.load_binary(clone_path)) == 2000
+        assert len(load_trace(clone_path)) == 2000
 
     def test_request_count_hierarchy(self, trace_file, tmp_path):
         profile_path = tmp_path / "rc.mprof.gz"
@@ -137,4 +137,4 @@ class TestProfileTool:
         assert profile_tool.main(
             ["synthesize", str(profile_path), str(clone_path), "--no-strict"]
         ) == 0
-        assert len(Trace.load_binary(clone_path)) > 0
+        assert len(load_trace(clone_path)) > 0

@@ -1,19 +1,18 @@
-"""Suffix dispatch in the trace tool's ``load_any``/``save_any``."""
+"""Suffix dispatch in the trace-file codec (``load_trace``/``save_trace``)."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.core.trace import Trace
-from repro.tools.trace import load_any, save_any
+from repro.core.tracefile import UnknownTraceSuffixError, load_trace, save_trace
 
 
 @pytest.mark.parametrize("suffix", ["csv", "csv.gz", "mtr", "mtr.gz"])
 def test_roundtrip_every_suffix(tmp_path, mixed_trace, suffix):
     path = tmp_path / f"trace.{suffix}"
-    size = save_any(mixed_trace, path)
+    size = save_trace(mixed_trace, path)
     assert size == path.stat().st_size
-    assert load_any(path) == mixed_trace
+    assert load_trace(path).to_trace() == mixed_trace
 
 
 def test_plain_csv_is_human_readable(tmp_path, mixed_trace):
@@ -21,13 +20,17 @@ def test_plain_csv_is_human_readable(tmp_path, mixed_trace):
     # treated as the binary format, so "trace.csv" silently came out
     # as struct-packed bytes.
     path = tmp_path / "trace.csv"
-    save_any(mixed_trace, path)
+    save_trace(mixed_trace, path)
     assert path.read_text().startswith("timestamp,address,operation,size")
 
 
 def test_unknown_suffix_rejected_on_save(tmp_path, mixed_trace):
-    with pytest.raises(ValueError, match="unrecognized trace suffix"):
-        save_any(mixed_trace, tmp_path / "trace.json")
+    path = tmp_path / "trace.json"
+    with pytest.raises(UnknownTraceSuffixError, match="unrecognized trace suffix") as raised:
+        save_trace(mixed_trace, path)
+    assert isinstance(raised.value, ValueError)
+    assert raised.value.path == str(path)
+    assert not path.exists()
 
 
 def test_unknown_suffix_rejected_on_load(tmp_path):
@@ -35,13 +38,13 @@ def test_unknown_suffix_rejected_on_load(tmp_path):
     # loader and fail with a confusing "not a Mocktails binary trace".
     path = tmp_path / "trace.txt"
     path.write_text("whatever")
-    with pytest.raises(ValueError, match="unrecognized trace suffix"):
-        load_any(path)
+    with pytest.raises(UnknownTraceSuffixError, match="unrecognized trace suffix"):
+        load_trace(path)
 
 
 def test_error_names_the_known_suffixes(tmp_path):
     with pytest.raises(ValueError) as excinfo:
-        load_any(Path(tmp_path / "trace.dat"))
+        load_trace(Path(tmp_path / "trace.dat"))
     message = str(excinfo.value)
     for suffix in (".csv", ".csv.gz", ".mtr", ".mtr.gz"):
         assert suffix in message
